@@ -89,8 +89,7 @@ class ExpCutsClassifier(PacketClassifier):
     def garbage_fraction(self) -> float:
         """Fraction of tree nodes estimated unreachable after edits."""
         garbage = self.tree.build_stats.get("garbage_words", 0)
-        live = sum(1 + n.children.compressed_slots for n in self.tree.nodes)
-        return garbage / max(live, 1)
+        return garbage / max(self.tree.layout_words(), 1)
 
     def _ensure_image(self) -> None:
         """Repack the word image after incremental edits (lazy: scalar

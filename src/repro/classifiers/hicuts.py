@@ -23,586 +23,71 @@ behind each leaf header, the leaf's rule entries at 6 words apiece — read
 entry-by-entry during leaf linear search (paper §6.6).  Monolithic means
 single-channel placement, the root cause of the HiCuts throughput cap the
 paper measures.
+
+The tree itself — builder, incremental edits, walk and layout — is the
+cutting tree shared with HyperCuts (:mod:`repro.classifiers.cuts`); this
+module supplies only the one-dimension cut heuristic and its index cost.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.budget import BudgetMeter, BuildBudget, meter_for
-from ..core.engine import LookupTrace, MemRead
-from ..core.errors import IncrementalUpdateError
-from ..core.expcuts import FlatRule, REF_NO_MATCH, flat_projection
-from ..core.fields import FIELD_WIDTHS, NUM_FIELDS
-from ..core.rule import RuleSet
-from ..obs.trace import DecisionTrace
-from .base import MemoryRegion, PacketClassifier
-from .linear import RULE_COMPARE_CYCLES, RULE_WORDS
+from ..core.expcuts import FlatRule
+from ..core.fields import NUM_FIELDS
+from .cuts import CutsClassifier, _Internal
 
 #: ME cycles for one internal-node descend (load dim/shift, index math).
 NODE_COMPUTE_CYCLES = 5
 
 
-@dataclass(frozen=True)
-class _Internal:
-    """Internal node: cut ``field`` into ``2**log2_cuts`` children."""
-
-    field: int
-    log2_cuts: int
-    shift: int  # child-local bit width of the cut field
-    children: tuple[int, ...]  # builder refs (see expcuts ref encoding)
-
-
-@dataclass(frozen=True)
-class _Leaf:
-    """Leaf node: rule ids searched linearly, in priority order."""
-
-    rule_ids: tuple[int, ...]
-
-
-@dataclass
-class HiCutsParams:
-    """The two classic tuning knobs plus a node-count safety valve."""
-
-    binth: int = 8
-    spfac: float = 4.0
-    max_nodes: int = 2_000_000
-
-
-class _Builder:
-    """Flat-rule, run-partition HiCuts builder.
-
-    Shares the performance machinery of the ExpCuts builder (see
-    :mod:`repro.core.expcuts`): projected rules are flat 11-int tuples and
-    children between rule-span endpoints on the cut dimension are built
-    once per uniform run.
-    """
-
-    def __init__(self, params: HiCutsParams,
-                 meter: BudgetMeter | None = None) -> None:
-        self.params = params
-        self.meter = meter
-        self.nodes: list[_Internal | _Leaf] = []
-        self.memo: dict[tuple, int] = {}
-
-    def intern(self, node: _Internal | _Leaf) -> int:
-        node_id = len(self.nodes)
-        if node_id >= self.params.max_nodes:
-            raise MemoryError(f"HiCuts build exceeded max_nodes={self.params.max_nodes}")
-        if self.meter is not None:
-            # Word cost mirrors _layout_words: header + pointers, or
-            # count word + inline 6-word rule entries.
-            if isinstance(node, _Internal):
-                self.meter.add_node(1 + (1 << node.log2_cuts))
-            else:
-                self.meter.add_node(1 + RULE_WORDS * len(node.rule_ids))
-        self.nodes.append(node)
-        return node_id
-
-    @staticmethod
-    def _rule_covers(rule: FlatRule, widths: Sequence[int]) -> bool:
-        for fld in range(NUM_FIELDS):
-            if rule[1 + 2 * fld] != 0 or rule[2 + 2 * fld] != (1 << widths[fld]) - 1:
-                return False
-        return True
-
-    def _prune_covered(self, rules: tuple[FlatRule, ...],
-                       widths: Sequence[int]) -> tuple[FlatRule, ...]:
-        """Truncate the list after the first full-covering rule."""
-        for idx, rule in enumerate(rules):
-            if self._rule_covers(rule, widths):
-                return rules[: idx + 1]
-        return rules
-
-    def _choose_dimension(self, rules: tuple[FlatRule, ...],
-                          widths: Sequence[int]) -> int | None:
-        """Most-distinct-projections heuristic; ``None`` if nothing cuttable."""
-        best_field = None
-        best_score = (-1, -1)
-        for fld in range(NUM_FIELDS):
-            if widths[fld] == 0:
-                continue
-            pos = 1 + 2 * fld
-            distinct = len({(r[pos], r[pos + 1]) for r in rules})
-            score = (distinct, widths[fld])
-            if distinct > 1 and score > best_score:
-                best_score = score
-                best_field = fld
-        if best_field is not None:
-            return best_field
-        # No dimension separates the rules; fall back to any dimension with
-        # remaining width so recursion still terminates (boxes shrink to
-        # points, where the cover check fires).
-        for fld in range(NUM_FIELDS):
-            if widths[fld] > 0:
-                return fld
-        return None
-
-    def _choose_cuts(self, rules: tuple[FlatRule, ...], fld: int,
-                     widths: Sequence[int]) -> int:
-        """Power-of-two cut count bounded by the spfac space measure."""
-        n = len(rules)
-        width = widths[fld]
-        budget = self.params.spfac * max(n, 1)
+def choose_cuts(rules: tuple[FlatRule, ...], widths: Sequence[int],
+                spfac: float) -> dict[int, int]:
+    """Cut one dimension: the one with the most distinct projections,
+    into a power-of-two count bounded by the spfac space measure."""
+    best_field = None
+    best_score = (-1, -1)
+    for fld in range(NUM_FIELDS):
+        if widths[fld] == 0:
+            continue
         pos = 1 + 2 * fld
+        distinct = len({(r[pos], r[pos + 1]) for r in rules})
+        score = (distinct, widths[fld])
+        if distinct > 1 and score > best_score:
+            best_score = score
+            best_field = fld
+    if best_field is None:
+        # No dimension separates the rules; fall back to any dimension
+        # with remaining width so recursion still terminates (boxes
+        # shrink to points, where the cover check fires).  The builder
+        # makes a point box a leaf, so some width is always left.
+        best_field = next(fld for fld in range(NUM_FIELDS) if widths[fld] > 0)
 
-        def space_measure(lg: int) -> float:
-            shift = width - lg
-            total = 1 << lg
-            for r in rules:
-                total += (r[pos + 1] >> shift) - (r[pos] >> shift) + 1
-            return total
+    fld = best_field
+    n = len(rules)
+    width = widths[fld]
+    budget = spfac * max(n, 1)
+    pos = 1 + 2 * fld
 
-        best = max(1, min(width, int(math.log2(max(math.sqrt(n), 2)))))
-        while best < width and space_measure(best + 1) <= budget:
-            best += 1
-        return best
+    def space_measure(lg: int) -> float:
+        shift = width - lg
+        total = 1 << lg
+        for r in rules:
+            total += (r[pos + 1] >> shift) - (r[pos] >> shift) + 1
+        return total
 
-    def build(self, rules: tuple[FlatRule, ...],
-              widths: tuple[int, ...]) -> int:
-        rules = self._prune_covered(rules, widths)
-        if not rules:
-            return REF_NO_MATCH
-        is_point = all(w == 0 for w in widths)
-        if (
-            len(rules) <= self.params.binth
-            or is_point
-            or self._rule_covers(rules[0], widths)
-        ):
-            key = ("leaf", tuple(r[0] for r in rules))
-            cached = self.memo.get(key)
-            if cached is not None:
-                return cached
-            node_id = self.intern(_Leaf(tuple(r[0] for r in rules)))
-            self.memo[key] = node_id
-            return node_id
-
-        key = (widths, rules)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-
-        fld = self._choose_dimension(rules, widths)
-        if fld is None:
-            node_id = self.intern(_Leaf(tuple(r[0] for r in rules)))
-            self.memo[key] = node_id
-            return node_id
-
-        log2_cuts = self._choose_cuts(rules, fld, widths)
-        width = widths[fld]
-        shift = width - log2_cuts
-        nchildren = 1 << log2_cuts
-        child_full = (1 << shift) - 1
-        child_widths = widths[:fld] + (shift,) + widths[fld + 1:]
-        pos = 1 + 2 * fld
-
-        # Uniform-run partition (see expcuts module docstring): children
-        # between consecutive rule-span endpoints have identical
-        # projections, so one build per run suffices.
-        spans = []
-        crit = {0, nchildren}
-        for rule in rules:
-            lo = rule[pos]
-            hi = rule[pos + 1]
-            k_lo = lo >> shift
-            k_hi = hi >> shift
-            spans.append((k_lo, k_hi, lo, hi, rule))
-            crit.add(k_lo)
-            crit.add(k_lo + 1)
-            crit.add(k_hi)
-            crit.add(k_hi + 1)
-        run_starts = sorted(c for c in crit if 0 <= c < nchildren)
-        run_starts.append(nchildren)
-        refs: list[int] = [REF_NO_MATCH] * nchildren
-        for run_idx in range(len(run_starts) - 1):
-            start, end = run_starts[run_idx], run_starts[run_idx + 1]
-            k = start
-            base = k << shift
-            top = base + child_full
-            child_rules = []
-            for k_lo, k_hi, lo, hi, rule in spans:
-                if not k_lo <= k <= k_hi:
-                    continue
-                clip_lo = lo - base if lo > base else 0
-                clip_hi = hi - base if hi < top else child_full
-                child_rules.append(rule[:pos] + (clip_lo, clip_hi) + rule[pos + 2:])
-            ref = self.build(tuple(child_rules), child_widths)
-            for k2 in range(start, end):
-                refs[k2] = ref
-        node_id = self.intern(_Internal(fld, log2_cuts, shift, tuple(refs)))
-        self.memo[key] = node_id
-        return node_id
+    best = max(1, min(width, int(math.log2(max(math.sqrt(n), 2)))))
+    while best < width and space_measure(best + 1) <= budget:
+        best += 1
+    return {fld: best}
 
 
-class HiCutsClassifier(PacketClassifier):
+class HiCutsClassifier(CutsClassifier):
     """Decision-tree classification with leaf linear search."""
 
     name = "hicuts"
+    choose_cuts = staticmethod(choose_cuts)
 
-    def __init__(self, ruleset: RuleSet, nodes: list[_Internal | _Leaf],
-                 root_ref: int, params: HiCutsParams) -> None:
-        super().__init__(ruleset)
-        self.nodes = nodes
-        self.root_ref = root_ref
-        self.params = params
-        self._tree_words, self._node_offsets = self._layout_words()
-
-    @classmethod
-    def build(cls, ruleset: RuleSet, binth: int = 8, spfac: float = 4.0,
-              max_nodes: int = 2_000_000,
-              budget: BuildBudget | None = None) -> "HiCutsClassifier":
-        params = HiCutsParams(binth=binth, spfac=spfac, max_nodes=max_nodes)
-        builder = _Builder(params, meter_for(budget, cls.name))
-        root = builder.build(flat_projection(ruleset), tuple(FIELD_WIDTHS))
-        return cls(ruleset, builder.nodes, root, params)
-
-    # -- incremental edits --------------------------------------------------
-
-    #: Class-level defaults so structures unpickled from snapshots that
-    #: predate incremental edits still have them.
-    _garbage_words = 0
-
-    def _node_words(self, node: _Internal | _Leaf) -> int:
-        if isinstance(node, _Internal):
-            return 1 + (1 << node.log2_cuts)
-        return 1 + RULE_WORDS * len(node.rule_ids)
-
-    def _covers_box(self, rule_id: int, box_lo: Sequence[int],
-                    widths: Sequence[int]) -> bool:
-        """Does the (absolute) rule fully cover the box at ``box_lo``?"""
-        rule = self.ruleset[rule_id]
-        for fld in range(NUM_FIELDS):
-            iv = rule.intervals[fld]
-            if iv.lo > box_lo[fld] \
-                    or iv.hi < box_lo[fld] + (1 << widths[fld]) - 1:
-                return False
-        return True
-
-    def _clip_flat(self, rule_id: int, box_lo: Sequence[int],
-                   widths: Sequence[int]) -> FlatRule:
-        """The rule's projection clipped to the box, box-relative."""
-        rule = self.ruleset[rule_id]
-        row: list[int] = [rule_id]
-        for fld in range(NUM_FIELDS):
-            iv = rule.intervals[fld]
-            top = box_lo[fld] + (1 << widths[fld]) - 1
-            row.append(max(iv.lo, box_lo[fld]) - box_lo[fld])
-            row.append(min(iv.hi, top) - box_lo[fld])
-        return tuple(row)
-
-    def _first_match_from(self, root_ref: int,
-                          header: Sequence[int]) -> int | None:
-        """Classify from a candidate root (pre-swap validation probe)."""
-        ref = root_ref
-        origin = [0] * NUM_FIELDS
-        while ref != REF_NO_MATCH:
-            node = self.nodes[ref]
-            if isinstance(node, _Leaf):
-                for rule_id in node.rule_ids:
-                    if self.ruleset[rule_id].matches(header):
-                        return rule_id
-                return None
-            local = header[node.field] - origin[node.field]
-            idx = local >> node.shift
-            origin[node.field] += idx << node.shift
-            ref = node.children[idx]
-        return None
-
-    def insert_rule(self, rule_id: int, precedes, *,
-                    edit_budget: int = 4096) -> int:
-        """Insert ``self.ruleset[rule_id]`` by copy-on-write path edits.
-
-        ``precedes(existing_id)`` says whether the new rule outranks an
-        existing one — priority lives only in leaf list order, so the
-        caller (which knows the live priority order) supplies the
-        comparison.  Nodes along every path intersecting the rule's box
-        are copied, leaves splice the rule in at its priority rank, and
-        a leaf that overflows past ``binth`` is re-cut node-locally with
-        the regular builder.  The edit is **validate-then-swap**: nothing
-        the serving root reaches is mutated; the new root is probed at
-        the rule's corner headers and only then swapped in.  On any
-        failure (``edit_budget`` node appends exceeded, ``max_nodes``,
-        probe disagreement) the appended nodes are discarded and
-        :class:`IncrementalUpdateError` is raised — the old root never
-        stopped serving.  Returns the number of nodes appended.
-        """
-        rule = self.ruleset[rule_id]
-        bounds = tuple((iv.lo, iv.hi) for iv in rule.intervals)
-        checkpoint = len(self.nodes)
-        garbage = 0
-        leaf_memo: dict[tuple[int, ...], int] = {}
-
-        def append(node: _Internal | _Leaf) -> int:
-            if len(self.nodes) - checkpoint >= edit_budget:
-                raise IncrementalUpdateError(
-                    f"{self.name}: edit touched more than "
-                    f"edit_budget={edit_budget} nodes")
-            if len(self.nodes) >= self.params.max_nodes:
-                raise IncrementalUpdateError(
-                    f"{self.name}: edit exceeded max_nodes="
-                    f"{self.params.max_nodes}")
-            self.nodes.append(node)
-            return len(self.nodes) - 1
-
-        def new_leaf(rule_ids: tuple[int, ...]) -> int:
-            cached = leaf_memo.get(rule_ids)
-            if cached is not None:
-                return cached
-            ref = append(_Leaf(rule_ids))
-            leaf_memo[rule_ids] = ref
-            return ref
-
-        def recut(rule_ids: tuple[int, ...], box_lo: list[int],
-                  widths: tuple[int, ...]) -> int:
-            flat = tuple(self._clip_flat(rid, box_lo, widths)
-                         for rid in rule_ids)
-            builder = _Builder(self.params)
-            builder.nodes = self.nodes  # append in place (copy-on-write)
-            try:
-                ref = builder.build(flat, widths)
-            except MemoryError as exc:
-                raise IncrementalUpdateError(str(exc)) from exc
-            if len(self.nodes) - checkpoint > edit_budget:
-                raise IncrementalUpdateError(
-                    f"{self.name}: node-local re-cut blew edit_budget="
-                    f"{edit_budget}")
-            return ref
-
-        def edit_leaf(node: _Leaf, box_lo: list[int],
-                      widths: tuple[int, ...]) -> int | None:
-            ids = node.rule_ids
-            rank = len(ids)
-            for idx, existing in enumerate(ids):
-                if precedes(existing):
-                    rank = idx
-                    break
-            for existing in ids[:rank]:
-                if self._covers_box(existing, box_lo, widths):
-                    return None  # shadowed by a higher-priority full cover
-            if self._covers_box(rule_id, box_lo, widths):
-                new_ids = ids[:rank] + (rule_id,)
-            else:
-                new_ids = ids[:rank] + (rule_id,) + ids[rank:]
-            if (len(new_ids) > max(self.params.binth, len(ids))
-                    and any(w > 0 for w in widths)):
-                return recut(new_ids, box_lo, widths)
-            return new_leaf(new_ids)
-
-        def descend(ref: int, box_lo: list[int],
-                    widths: tuple[int, ...]) -> int | None:
-            """New ref for this subtree, or None when unchanged."""
-            nonlocal garbage
-            if ref == REF_NO_MATCH:
-                if self._covers_box(rule_id, box_lo, widths):
-                    return new_leaf((rule_id,))
-                return recut((rule_id,), box_lo, widths)
-            node = self.nodes[ref]
-            if isinstance(node, _Leaf):
-                replacement = edit_leaf(node, box_lo, widths)
-                if replacement is not None:
-                    garbage += self._node_words(node)
-                return replacement
-            fld = node.field
-            lo, hi = bounds[fld]
-            base0 = box_lo[fld]
-            shift = node.shift
-            k_lo = (max(lo, base0) - base0) >> shift
-            k_hi = (min(hi, base0 + (1 << widths[fld]) - 1) - base0) >> shift
-            child_widths = widths[:fld] + (shift,) + widths[fld + 1:]
-            new_children: list[int] | None = None
-            for k in range(k_lo, k_hi + 1):
-                child_base = base0 + (k << shift)
-                child_lo = list(box_lo)
-                child_lo[fld] = child_base
-                new_ref = descend(node.children[k], child_lo, child_widths)
-                if new_ref is not None and new_ref != node.children[k]:
-                    if new_children is None:
-                        new_children = list(node.children)
-                    new_children[k] = new_ref
-            if new_children is None:
-                return None
-            garbage += self._node_words(node)
-            return append(_Internal(fld, node.log2_cuts, shift,
-                                    tuple(new_children)))
-
-        def rollback() -> None:
-            del self.nodes[checkpoint:]
-
-        try:
-            new_root = descend(self.root_ref, [0] * NUM_FIELDS,
-                               tuple(FIELD_WIDTHS))
-        except IncrementalUpdateError:
-            rollback()
-            raise
-        if new_root is None:
-            return 0  # rule shadowed everywhere: the tree already agrees
-        # Pre-swap probe: at the rule's own corners the winner must be
-        # the new rule or something that outranks it.
-        for header in (tuple(lo for lo, _ in bounds),
-                       tuple(hi for _, hi in bounds)):
-            got = self._first_match_from(new_root, header)
-            if got is None or (got != rule_id and precedes(got)):
-                rollback()
-                raise IncrementalUpdateError(
-                    f"{self.name}: edited tree answers {got!r} at a corner "
-                    f"of rule {rule_id}")
-        # Swap.  Nodes replaced along the copied paths become garbage
-        # (approximately: DAG sharing can keep some alive), tracked so the
-        # update layer's compaction watermark can see structure bloat.
-        self.root_ref = new_root
-        appended = len(self.nodes) - checkpoint
-        cursor = self._tree_words
-        for node_id in range(checkpoint, len(self.nodes)):
-            self._node_offsets[node_id] = cursor
-            cursor += self._node_words(self.nodes[node_id])
-        self._tree_words = cursor
-        self._garbage_words += garbage
-        return appended
-
-    def garbage_fraction(self) -> float:
-        """Fraction of the layout estimated unreachable after edits."""
-        return self._garbage_words / max(self._tree_words, 1)
-
-    # -- structure accounting ---------------------------------------------
-
-    def _layout_words(self) -> tuple[int, dict[int, int]]:
-        """Word offsets of each node in the ``tree`` region.
-
-        Internal node: 1 header word + ``2**log2_cuts`` pointer words.
-        Leaf: 1 count word + 1 word per stored rule id.
-        """
-        offsets: dict[int, int] = {}
-        cursor = 0
-        for node_id, node in enumerate(self.nodes):
-            offsets[node_id] = cursor
-            if isinstance(node, _Internal):
-                cursor += 1 + (1 << node.log2_cuts)
-            else:
-                cursor += 1 + RULE_WORDS * len(node.rule_ids)
-        return cursor, offsets
-
-    def memory_regions(self) -> list[MemoryRegion]:
-        # One monolithic region: HiCuts leaves store their rule entries
-        # inline (6 words each) right behind the node header, so tree walk
-        # and linear search hit the same structure.  Being a single region
-        # it can occupy only one SRAM channel — exactly why the paper
-        # finds HiCuts capped by leaf linear search (Figures 8/9) while
-        # the level-segmented ExpCuts image spreads over all four.
-        return [MemoryRegion("tree", self._tree_words, 1.0)]
-
-    # -- lookup -------------------------------------------------------------
-
-    def _walk(self, header: Sequence[int]) -> tuple[_Leaf | None, list[MemRead]]:
-        reads: list[MemRead] = []
-        ref = self.root_ref
-        # Track each field's box origin so child indexing uses box-relative
-        # coordinates (required for shared nodes reached via different
-        # paths: projections are origin-normalised).
-        origin = [0] * NUM_FIELDS
-        pending = 2
-        while True:
-            if ref == REF_NO_MATCH:
-                return None, reads
-            node = self.nodes[ref]
-            addr = self._node_offsets[ref]
-            reads.append(MemRead("tree", addr, 1, pending))
-            if isinstance(node, _Leaf):
-                return node, reads
-            local = header[node.field] - origin[node.field]
-            idx = local >> node.shift
-            reads.append(MemRead("tree", addr + 1 + idx, 1, NODE_COMPUTE_CYCLES))
-            origin[node.field] += idx << node.shift
-            ref = node.children[idx]
-            pending = 2
-
-    def classify(self, header: Sequence[int],
-                 trace: DecisionTrace | None = None) -> int | None:
-        if trace is not None:
-            return self._classify_traced(header, trace)
-        leaf, _ = self._walk(header)
-        if leaf is None:
-            return None
-        for rule_id in leaf.rule_ids:
-            if self.ruleset[rule_id].matches(header):
-                return rule_id
-        return None
-
-    def _classify_traced(self, header: Sequence[int],
-                         trace: DecisionTrace) -> int | None:
-        """Instrumented walk: descent steps plus the leaf linear scan —
-        the scan length is exactly the cost Figure 8 sweeps ``binth``
-        to expose."""
-        trace.begin(self.name, header)
-        ref = self.root_ref
-        origin = [0] * NUM_FIELDS
-        leaf: _Leaf | None = None
-        while True:
-            if ref == REF_NO_MATCH:
-                break
-            node = self.nodes[ref]
-            addr = self._node_offsets[ref]
-            if isinstance(node, _Leaf):
-                leaf = node
-                trace.leaf("tree", addr, words=1, rules=len(node.rule_ids))
-                break
-            local = header[node.field] - origin[node.field]
-            idx = local >> node.shift
-            trace.node("tree", addr, words=2, field=node.field,
-                       stride=node.log2_cuts, slot=idx)
-            origin[node.field] += idx << node.shift
-            ref = node.children[idx]
-        result = None
-        if leaf is not None:
-            leaf_addr = trace.steps[-1].addr if trace.steps else 0
-            for slot, rule_id in enumerate(leaf.rule_ids):
-                matched = self.ruleset[rule_id].matches(header)
-                trace.linear("tree", leaf_addr + 1 + slot * RULE_WORDS,
-                             RULE_WORDS, rule=rule_id, matched=matched)
-                if matched:
-                    result = rule_id
-                    break
-        trace.finish(result)
-        self._emit_lookup_metrics(trace)
-        return result
-
-    def access_trace(self, header: Sequence[int]) -> LookupTrace:
-        leaf, reads = self._walk(header)
-        result = None
-        if leaf is not None:
-            leaf_addr = reads[-1].addr if reads else 0
-            for slot, rule_id in enumerate(leaf.rule_ids):
-                reads.append(
-                    MemRead("tree", leaf_addr + 1 + slot * RULE_WORDS,
-                            RULE_WORDS, RULE_COMPARE_CYCLES)
-                )
-                if self.ruleset[rule_id].matches(header):
-                    result = rule_id
-                    break
-        return LookupTrace(tuple(reads), compute_after=RULE_COMPARE_CYCLES,
-                           result=result)
-
-    # -- statistics -----------------------------------------------------------
-
-    def depth(self) -> int:
-        """Maximum tree depth (data dependent — no explicit bound)."""
-
-        def node_depth(ref: int, seen: dict[int, int]) -> int:
-            if ref < 0:
-                return 0
-            if ref in seen:
-                return seen[ref]
-            node = self.nodes[ref]
-            seen[ref] = 0  # cycle guard (tree is acyclic; DAG via sharing)
-            if isinstance(node, _Leaf):
-                depth = 1
-            else:
-                depth = 1 + max(node_depth(c, seen) for c in node.children)
-            seen[ref] = depth
-            return depth
-
-        return node_depth(self.root_ref, {})
-
-    def leaf_sizes(self) -> list[int]:
-        return [len(n.rule_ids) for n in self.nodes if isinstance(n, _Leaf)]
+    def _index_cycles(self, node: _Internal) -> int:
+        return NODE_COMPUTE_CYCLES

@@ -15,619 +15,96 @@ Implemented heuristics (the classic ones, adapted to power-of-two cuts):
 * **Cut budget** — the total fan-out is grown dimension-by-dimension
   (round-robin over the selected dimensions, widest remaining field
   first) while the HiCuts space measure stays within ``spfac * n`` and
-  the fan-out stays within ``max_log2_fanout``.
+  the fan-out stays within :data:`MAX_LOG2_FANOUT`.
 * **Node sharing and cover pruning** — identical to the other cutting
   builders (projection-keyed hash-consing; truncation after a full
   cover).
 
 Leaves hold up to ``binth`` rules searched linearly against inline
 6-word entries, exactly like HiCuts — so HyperCuts inherits the same
-Figure 8 cliff; its advantage is fewer tree levels before it.
+Figure 8 cliff; its advantage is fewer tree levels before it.  The tree
+itself is the cutting tree shared with HiCuts
+(:mod:`repro.classifiers.cuts`); this module supplies only the
+multi-dimension cut heuristic and its index cost.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.budget import BudgetMeter, BuildBudget, meter_for
-from ..core.engine import LookupTrace, MemRead
-from ..core.errors import IncrementalUpdateError
-from ..core.expcuts import FlatRule, REF_NO_MATCH, flat_projection
-from ..core.fields import FIELD_WIDTHS, NUM_FIELDS
-from ..obs.trace import DecisionTrace
-from ..core.rule import RuleSet
-from .base import MemoryRegion, PacketClassifier
-from .linear import RULE_COMPARE_CYCLES, RULE_WORDS
+from ..core.expcuts import FlatRule
+from ..core.fields import NUM_FIELDS
+from .cuts import CutsClassifier, _Internal
 
 #: ME cycles to form a multi-dimension child index (per dimension:
 #: subtract origin, shift, merge).
 DIM_INDEX_CYCLES = 4
 
-
-@dataclass(frozen=True)
-class _Internal:
-    """Internal node cutting ``dims`` simultaneously.
-
-    ``dims``      fields cut, in index-significance order (first = most
-                  significant bits of the child index);
-    ``lgs``       log2 cuts per dim (parallel to ``dims``);
-    ``shifts``    child-local remaining bit width per dim;
-    ``children``  builder refs, length ``2 ** sum(lgs)``.
-    """
-
-    dims: tuple[int, ...]
-    lgs: tuple[int, ...]
-    shifts: tuple[int, ...]
-    children: tuple[int, ...]
+#: Upper bound on a single node's log2 fan-out (2**6 = 64 children).
+MAX_LOG2_FANOUT = 6
 
 
-@dataclass(frozen=True)
-class _Leaf:
-    rule_ids: tuple[int, ...]
-
-
-@dataclass
-class HyperCutsParams:
-    binth: int = 8
-    spfac: float = 4.0
-    #: Upper bound on a single node's log2 fan-out (2**6 = 64 children).
-    max_log2_fanout: int = 6
-    max_nodes: int = 2_000_000
-
-
-class _Builder:
-    def __init__(self, params: HyperCutsParams,
-                 meter: BudgetMeter | None = None) -> None:
-        self.params = params
-        self.meter = meter
-        self.nodes: list[_Internal | _Leaf] = []
-        self.memo: dict[tuple, int] = {}
-
-    def intern(self, node: _Internal | _Leaf) -> int:
-        node_id = len(self.nodes)
-        if node_id >= self.params.max_nodes:
-            raise MemoryError(
-                f"HyperCuts build exceeded max_nodes={self.params.max_nodes}"
-            )
-        if self.meter is not None:
-            # Mirrors _layout_words: header + pointer array, or count
-            # word + inline 6-word rule entries.
-            if isinstance(node, _Internal):
-                self.meter.add_node(1 + len(node.children))
-            else:
-                self.meter.add_node(1 + RULE_WORDS * len(node.rule_ids))
-        self.nodes.append(node)
-        return node_id
-
-    @staticmethod
-    def _covers(rule: FlatRule, widths: Sequence[int]) -> bool:
-        for fld in range(NUM_FIELDS):
-            if rule[1 + 2 * fld] != 0 or rule[2 + 2 * fld] != (1 << widths[fld]) - 1:
-                return False
-        return True
-
-    def _prune(self, rules: tuple[FlatRule, ...],
-               widths: Sequence[int]) -> tuple[FlatRule, ...]:
-        for idx, rule in enumerate(rules):
-            if self._covers(rule, widths):
-                return rules[: idx + 1]
-        return rules
-
-    def _select_dimensions(self, rules: tuple[FlatRule, ...],
-                           widths: Sequence[int]) -> list[int]:
-        """Dims with above-mean distinct projections (HyperCuts rule)."""
-        distinct = {}
-        for fld in range(NUM_FIELDS):
-            if widths[fld] == 0:
-                continue
-            pos = 1 + 2 * fld
-            count = len({(r[pos], r[pos + 1]) for r in rules})
-            if count > 1:
-                distinct[fld] = count
-        if not distinct:
-            return [fld for fld in range(NUM_FIELDS) if widths[fld] > 0][:1]
+def choose_cuts(rules: tuple[FlatRule, ...], widths: Sequence[int],
+                spfac: float) -> dict[int, int]:
+    """Cut the dims with above-mean distinct projections (HyperCuts
+    rule), growing per-dim log2 cut counts round-robin under the
+    budget."""
+    distinct = {}
+    for fld in range(NUM_FIELDS):
+        if widths[fld] == 0:
+            continue
+        pos = 1 + 2 * fld
+        count = len({(r[pos], r[pos + 1]) for r in rules})
+        if count > 1:
+            distinct[fld] = count
+    if not distinct:
+        dims = [fld for fld in range(NUM_FIELDS) if widths[fld] > 0][:1]
+    else:
         mean = sum(distinct.values()) / len(distinct)
-        chosen = [fld for fld, count in distinct.items() if count >= mean]
-        return chosen or list(distinct)
+        dims = [fld for fld, count in distinct.items() if count >= mean]
 
-    def _choose_cuts(self, rules: tuple[FlatRule, ...], dims: list[int],
-                     widths: Sequence[int]) -> dict[int, int]:
-        """Grow per-dim log2 cut counts round-robin under the budget."""
-        n = len(rules)
-        budget = self.params.spfac * max(n, 1)
-        lgs = {fld: 0 for fld in dims}
+    n = len(rules)
+    budget = spfac * max(n, 1)
+    lgs = {fld: 0 for fld in dims}
 
-        def space_measure() -> float:
-            total = 1
-            for lg in lgs.values():
-                total <<= lg
-            for rule in rules:
-                spans = 1
-                for fld, lg in lgs.items():
-                    shift = widths[fld] - lg
-                    pos = 1 + 2 * fld
-                    spans *= (rule[pos + 1] >> shift) - (rule[pos] >> shift) + 1
-                total += spans
-            return total
+    def space_measure() -> float:
+        total = 1
+        for lg in lgs.values():
+            total <<= lg
+        for rule in rules:
+            spans = 1
+            for fld, lg in lgs.items():
+                shift = widths[fld] - lg
+                pos = 1 + 2 * fld
+                spans *= (rule[pos + 1] >> shift) - (rule[pos] >> shift) + 1
+            total += spans
+        return total
 
-        # Seed with one cut on the widest selected dim, then grow.
-        order = sorted(dims, key=lambda fld: -widths[fld])
-        progressed = True
-        while progressed and sum(lgs.values()) < self.params.max_log2_fanout:
-            progressed = False
-            for fld in order:
-                if lgs[fld] >= widths[fld]:
-                    continue
-                if sum(lgs.values()) >= self.params.max_log2_fanout:
-                    break
-                lgs[fld] += 1
-                if space_measure() > budget and sum(lgs.values()) > 1:
-                    lgs[fld] -= 1
-                else:
-                    progressed = True
-        if all(lg == 0 for lg in lgs.values()):
-            lgs[order[0]] = 1
-        return {fld: lg for fld, lg in lgs.items() if lg > 0}
-
-    def build(self, rules: tuple[FlatRule, ...],
-              widths: tuple[int, ...]) -> int:
-        rules = self._prune(rules, widths)
-        if not rules:
-            return REF_NO_MATCH
-        is_point = all(w == 0 for w in widths)
-        if (len(rules) <= self.params.binth or is_point
-                or self._covers(rules[0], widths)):
-            key = ("leaf", tuple(r[0] for r in rules))
-            cached = self.memo.get(key)
-            if cached is not None:
-                return cached
-            node_id = self.intern(_Leaf(tuple(r[0] for r in rules)))
-            self.memo[key] = node_id
-            return node_id
-
-        key = (widths, rules)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-
-        dims = self._select_dimensions(rules, widths)
-        lgs_map = self._choose_cuts(rules, dims, widths)
-        cut_dims = tuple(sorted(lgs_map))
-        lgs = tuple(lgs_map[fld] for fld in cut_dims)
-        shifts = tuple(widths[fld] - lg for fld, lg in zip(cut_dims, lgs))
-        child_widths = list(widths)
-        for fld, shift in zip(cut_dims, shifts):
-            child_widths[fld] = shift
-        child_widths_t = tuple(child_widths)
-
-        # Per-dim uniform runs, then their Cartesian product: children
-        # inside one run-combination share identical projections.
-        per_dim_runs: list[list[int]] = []
-        for fld, lg, shift in zip(cut_dims, lgs, shifts):
-            nchildren = 1 << lg
-            pos = 1 + 2 * fld
-            crit = {0, nchildren}
-            for rule in rules:
-                k_lo = rule[pos] >> shift
-                k_hi = rule[pos + 1] >> shift
-                crit.update((k_lo, k_lo + 1, k_hi, k_hi + 1))
-            starts = sorted(c for c in crit if 0 <= c < nchildren)
-            starts.append(nchildren)
-            per_dim_runs.append(starts)
-
-        total_lg = sum(lgs)
-        refs = [REF_NO_MATCH] * (1 << total_lg)
-        self._fill(rules, cut_dims, lgs, shifts, per_dim_runs, 0, [],
-                   child_widths_t, refs)
-
-        node_id = self.intern(_Internal(cut_dims, lgs, shifts, tuple(refs)))
-        self.memo[key] = node_id
-        return node_id
-
-    def _fill(self, rules, cut_dims, lgs, shifts, per_dim_runs, depth,
-              chosen_runs, child_widths, refs) -> None:
-        """Recurse over run combinations; fill every covered child slot."""
-        if depth == len(cut_dims):
-            child_rules: list[FlatRule] = []
-            for rule in rules:
-                clipped = rule
-                alive = True
-                for fld, shift, (start, _end) in zip(cut_dims, shifts, chosen_runs):
-                    pos = 1 + 2 * fld
-                    lo, hi = clipped[pos], clipped[pos + 1]
-                    base = start << shift
-                    top = base + (1 << shift) - 1
-                    if lo > top or hi < base:
-                        alive = False
-                        break
-                    clip_lo = lo - base if lo > base else 0
-                    clip_hi = hi - base if hi < top else (1 << shift) - 1
-                    clipped = clipped[:pos] + (clip_lo, clip_hi) + clipped[pos + 2:]
-                if not alive:
-                    continue
-                child_rules.append(clipped)
-                if self._covers(clipped, child_widths):
-                    break
-            ref = self.build(tuple(child_rules), child_widths)
-            # Write the ref into every child slot of this run-combination.
-            self._assign(refs, lgs, chosen_runs, 0, 0, ref)
-            return
-        starts = per_dim_runs[depth]
-        for idx in range(len(starts) - 1):
-            chosen_runs.append((starts[idx], starts[idx + 1]))
-            self._fill(rules, cut_dims, lgs, shifts, per_dim_runs, depth + 1,
-                       chosen_runs, child_widths, refs)
-            chosen_runs.pop()
-
-    def _assign(self, refs, lgs, chosen_runs, depth, base, ref) -> None:
-        if depth == len(lgs):
-            refs[base] = ref
-            return
-        remaining_lg = sum(lgs[depth + 1:])
-        start, end = chosen_runs[depth]
-        for k in range(start, end):
-            self._assign(refs, lgs, chosen_runs, depth + 1,
-                         base | (k << remaining_lg), ref)
+    # Seed with one cut on the widest selected dim, then grow.
+    order = sorted(dims, key=lambda fld: -widths[fld])
+    progressed = True
+    while progressed and sum(lgs.values()) < MAX_LOG2_FANOUT:
+        progressed = False
+        for fld in order:
+            if lgs[fld] >= widths[fld]:
+                continue
+            if sum(lgs.values()) >= MAX_LOG2_FANOUT:
+                break
+            lgs[fld] += 1
+            if space_measure() > budget and sum(lgs.values()) > 1:
+                lgs[fld] -= 1
+            else:
+                progressed = True
+    if all(lg == 0 for lg in lgs.values()):
+        lgs[order[0]] = 1
+    return {fld: lg for fld, lg in lgs.items() if lg > 0}
 
 
-class HyperCutsClassifier(PacketClassifier):
+class HyperCutsClassifier(CutsClassifier):
     """Multi-dimensional cutting with leaf linear search."""
 
     name = "hypercuts"
+    choose_cuts = staticmethod(choose_cuts)
 
-    def __init__(self, ruleset: RuleSet, nodes, root_ref: int,
-                 params: HyperCutsParams) -> None:
-        super().__init__(ruleset)
-        self.nodes = nodes
-        self.root_ref = root_ref
-        self.params = params
-        self._tree_words, self._node_offsets = self._layout_words()
-
-    @classmethod
-    def build(cls, ruleset: RuleSet, binth: int = 8, spfac: float = 4.0,
-              max_log2_fanout: int = 6,
-              max_nodes: int = 2_000_000,
-              budget: BuildBudget | None = None) -> "HyperCutsClassifier":
-        params = HyperCutsParams(binth=binth, spfac=spfac,
-                                 max_log2_fanout=max_log2_fanout,
-                                 max_nodes=max_nodes)
-        builder = _Builder(params, meter_for(budget, cls.name))
-        root = builder.build(flat_projection(ruleset), tuple(FIELD_WIDTHS))
-        return cls(ruleset, builder.nodes, root, params)
-
-    # -- incremental edits --------------------------------------------------
-
-    #: Class-level default so pre-edit snapshots unpickle cleanly.
-    _garbage_words = 0
-
-    def _node_words(self, node) -> int:
-        if isinstance(node, _Internal):
-            return 1 + len(node.children)
-        return 1 + RULE_WORDS * len(node.rule_ids)
-
-    def _covers_box(self, rule_id: int, box_lo: Sequence[int],
-                    widths: Sequence[int]) -> bool:
-        rule = self.ruleset[rule_id]
-        for fld in range(NUM_FIELDS):
-            iv = rule.intervals[fld]
-            if iv.lo > box_lo[fld] \
-                    or iv.hi < box_lo[fld] + (1 << widths[fld]) - 1:
-                return False
-        return True
-
-    def _clip_flat(self, rule_id: int, box_lo: Sequence[int],
-                   widths: Sequence[int]) -> FlatRule:
-        rule = self.ruleset[rule_id]
-        row: list[int] = [rule_id]
-        for fld in range(NUM_FIELDS):
-            iv = rule.intervals[fld]
-            top = box_lo[fld] + (1 << widths[fld]) - 1
-            row.append(max(iv.lo, box_lo[fld]) - box_lo[fld])
-            row.append(min(iv.hi, top) - box_lo[fld])
-        return tuple(row)
-
-    def _first_match_from(self, root_ref: int,
-                          header: Sequence[int]) -> int | None:
-        ref = root_ref
-        origin = [0] * NUM_FIELDS
-        while ref != REF_NO_MATCH:
-            node = self.nodes[ref]
-            if isinstance(node, _Leaf):
-                for rule_id in node.rule_ids:
-                    if self.ruleset[rule_id].matches(header):
-                        return rule_id
-                return None
-            index = 0
-            for fld, lg, shift in zip(node.dims, node.lgs, node.shifts):
-                local = header[fld] - origin[fld]
-                index = (index << lg) | (local >> shift)
-            for fld, shift in zip(node.dims, node.shifts):
-                local = header[fld] - origin[fld]
-                origin[fld] += (local >> shift) << shift
-            ref = node.children[index]
-        return None
-
-    def insert_rule(self, rule_id: int, precedes, *,
-                    edit_budget: int = 4096) -> int:
-        """Copy-on-write incremental insert; see
-        :meth:`repro.classifiers.hicuts.HiCutsClassifier.insert_rule` —
-        identical contract, with the descent fanning out over the
-        Cartesian product of per-dimension child ranges."""
-        rule = self.ruleset[rule_id]
-        bounds = tuple((iv.lo, iv.hi) for iv in rule.intervals)
-        checkpoint = len(self.nodes)
-        garbage = 0
-        leaf_memo: dict[tuple[int, ...], int] = {}
-
-        def append(node) -> int:
-            if len(self.nodes) - checkpoint >= edit_budget:
-                raise IncrementalUpdateError(
-                    f"{self.name}: edit touched more than "
-                    f"edit_budget={edit_budget} nodes")
-            if len(self.nodes) >= self.params.max_nodes:
-                raise IncrementalUpdateError(
-                    f"{self.name}: edit exceeded max_nodes="
-                    f"{self.params.max_nodes}")
-            self.nodes.append(node)
-            return len(self.nodes) - 1
-
-        def new_leaf(rule_ids: tuple[int, ...]) -> int:
-            cached = leaf_memo.get(rule_ids)
-            if cached is not None:
-                return cached
-            ref = append(_Leaf(rule_ids))
-            leaf_memo[rule_ids] = ref
-            return ref
-
-        def recut(rule_ids: tuple[int, ...], box_lo: list[int],
-                  widths: tuple[int, ...]) -> int:
-            flat = tuple(self._clip_flat(rid, box_lo, widths)
-                         for rid in rule_ids)
-            builder = _Builder(self.params)
-            builder.nodes = self.nodes
-            try:
-                ref = builder.build(flat, widths)
-            except MemoryError as exc:
-                raise IncrementalUpdateError(str(exc)) from exc
-            if len(self.nodes) - checkpoint > edit_budget:
-                raise IncrementalUpdateError(
-                    f"{self.name}: node-local re-cut blew edit_budget="
-                    f"{edit_budget}")
-            return ref
-
-        def edit_leaf(node: _Leaf, box_lo: list[int],
-                      widths: tuple[int, ...]) -> int | None:
-            ids = node.rule_ids
-            rank = len(ids)
-            for idx, existing in enumerate(ids):
-                if precedes(existing):
-                    rank = idx
-                    break
-            for existing in ids[:rank]:
-                if self._covers_box(existing, box_lo, widths):
-                    return None
-            if self._covers_box(rule_id, box_lo, widths):
-                new_ids = ids[:rank] + (rule_id,)
-            else:
-                new_ids = ids[:rank] + (rule_id,) + ids[rank:]
-            if (len(new_ids) > max(self.params.binth, len(ids))
-                    and any(w > 0 for w in widths)):
-                return recut(new_ids, box_lo, widths)
-            return new_leaf(new_ids)
-
-        def descend(ref: int, box_lo: list[int],
-                    widths: tuple[int, ...]) -> int | None:
-            nonlocal garbage
-            if ref == REF_NO_MATCH:
-                if self._covers_box(rule_id, box_lo, widths):
-                    return new_leaf((rule_id,))
-                return recut((rule_id,), box_lo, widths)
-            node = self.nodes[ref]
-            if isinstance(node, _Leaf):
-                replacement = edit_leaf(node, box_lo, widths)
-                if replacement is not None:
-                    garbage += self._node_words(node)
-                return replacement
-            child_widths = list(widths)
-            dim_ranges = []
-            for fld, shift in zip(node.dims, node.shifts):
-                lo, hi = bounds[fld]
-                base0 = box_lo[fld]
-                k_lo = (max(lo, base0) - base0) >> shift
-                k_hi = (min(hi, base0 + (1 << widths[fld]) - 1)
-                        - base0) >> shift
-                dim_ranges.append(range(k_lo, k_hi + 1))
-                child_widths[fld] = shift
-            child_widths_t = tuple(child_widths)
-            new_children: list[int] | None = None
-            for combo in itertools.product(*dim_ranges):
-                index = 0
-                child_lo = list(box_lo)
-                for fld, lg, shift, k in zip(node.dims, node.lgs,
-                                             node.shifts, combo):
-                    index = (index << lg) | k
-                    child_lo[fld] = box_lo[fld] + (k << shift)
-                new_ref = descend(node.children[index], child_lo,
-                                  child_widths_t)
-                if new_ref is not None and new_ref != node.children[index]:
-                    if new_children is None:
-                        new_children = list(node.children)
-                    new_children[index] = new_ref
-            if new_children is None:
-                return None
-            garbage += self._node_words(node)
-            return append(_Internal(node.dims, node.lgs, node.shifts,
-                                    tuple(new_children)))
-
-        def rollback() -> None:
-            del self.nodes[checkpoint:]
-
-        try:
-            new_root = descend(self.root_ref, [0] * NUM_FIELDS,
-                               tuple(FIELD_WIDTHS))
-        except IncrementalUpdateError:
-            rollback()
-            raise
-        if new_root is None:
-            return 0
-        for header in (tuple(lo for lo, _ in bounds),
-                       tuple(hi for _, hi in bounds)):
-            got = self._first_match_from(new_root, header)
-            if got is None or (got != rule_id and precedes(got)):
-                rollback()
-                raise IncrementalUpdateError(
-                    f"{self.name}: edited tree answers {got!r} at a corner "
-                    f"of rule {rule_id}")
-        self.root_ref = new_root
-        appended = len(self.nodes) - checkpoint
-        cursor = self._tree_words
-        for node_id in range(checkpoint, len(self.nodes)):
-            self._node_offsets[node_id] = cursor
-            cursor += self._node_words(self.nodes[node_id])
-        self._tree_words = cursor
-        self._garbage_words += garbage
-        return appended
-
-    def garbage_fraction(self) -> float:
-        """Fraction of the layout estimated unreachable after edits."""
-        return self._garbage_words / max(self._tree_words, 1)
-
-    def _layout_words(self) -> tuple[int, dict[int, int]]:
-        offsets: dict[int, int] = {}
-        cursor = 0
-        for node_id, node in enumerate(self.nodes):
-            offsets[node_id] = cursor
-            if isinstance(node, _Internal):
-                # Header: 1 word for dims/lgs descriptor + per-dim origin
-                # bookkeeping folded into the pointer array.
-                cursor += 1 + len(node.children)
-            else:
-                cursor += 1 + RULE_WORDS * len(node.rule_ids)
-        return cursor, offsets
-
-    def memory_regions(self) -> list[MemoryRegion]:
-        # Monolithic, like HiCuts (see that module's docstring).
-        return [MemoryRegion("tree", self._tree_words, 1.0)]
-
-    def _walk(self, header: Sequence[int]):
-        reads: list[MemRead] = []
-        ref = self.root_ref
-        origin = [0] * NUM_FIELDS
-        pending = 2
-        while True:
-            if ref == REF_NO_MATCH:
-                return None, reads
-            node = self.nodes[ref]
-            addr = self._node_offsets[ref]
-            reads.append(MemRead("tree", addr, 1, pending))
-            if isinstance(node, _Leaf):
-                return node, reads
-            index = 0
-            compute = 0
-            for fld, lg, shift in zip(node.dims, node.lgs, node.shifts):
-                local = header[fld] - origin[fld]
-                k = local >> shift
-                index = (index << lg) | k
-                compute += DIM_INDEX_CYCLES
-            reads.append(MemRead("tree", addr + 1 + index, 1, compute))
-            for fld, shift in zip(node.dims, node.shifts):
-                local = header[fld] - origin[fld]
-                origin[fld] += (local >> shift) << shift
-            ref = node.children[index]
-            pending = 2
-
-    def classify(self, header: Sequence[int],
-                 trace: DecisionTrace | None = None) -> int | None:
-        if trace is not None:
-            return self._classify_traced(header, trace)
-        leaf, _ = self._walk(header)
-        if leaf is None:
-            return None
-        for rule_id in leaf.rule_ids:
-            if self.ruleset[rule_id].matches(header):
-                return rule_id
-        return None
-
-    def _classify_traced(self, header: Sequence[int],
-                         trace: DecisionTrace) -> int | None:
-        """Instrumented walk: multi-dimension descent + leaf scan."""
-        trace.begin(self.name, header)
-        ref = self.root_ref
-        origin = [0] * NUM_FIELDS
-        leaf: _Leaf | None = None
-        while True:
-            if ref == REF_NO_MATCH:
-                break
-            node = self.nodes[ref]
-            addr = self._node_offsets[ref]
-            if isinstance(node, _Leaf):
-                leaf = node
-                trace.leaf("tree", addr, words=1, rules=len(node.rule_ids))
-                break
-            index = 0
-            for fld, lg, shift in zip(node.dims, node.lgs, node.shifts):
-                local = header[fld] - origin[fld]
-                index = (index << lg) | (local >> shift)
-            trace.node("tree", addr, words=2, fields=list(node.dims),
-                       strides=list(node.lgs), slot=index)
-            for fld, shift in zip(node.dims, node.shifts):
-                local = header[fld] - origin[fld]
-                origin[fld] += (local >> shift) << shift
-            ref = node.children[index]
-        result = None
-        if leaf is not None:
-            leaf_addr = trace.steps[-1].addr if trace.steps else 0
-            for slot, rule_id in enumerate(leaf.rule_ids):
-                matched = self.ruleset[rule_id].matches(header)
-                trace.linear("tree", leaf_addr + 1 + slot * RULE_WORDS,
-                             RULE_WORDS, rule=rule_id, matched=matched)
-                if matched:
-                    result = rule_id
-                    break
-        trace.finish(result)
-        self._emit_lookup_metrics(trace)
-        return result
-
-    def access_trace(self, header: Sequence[int]) -> LookupTrace:
-        leaf, reads = self._walk(header)
-        result = None
-        if leaf is not None:
-            leaf_addr = reads[-1].addr if reads else 0
-            for slot, rule_id in enumerate(leaf.rule_ids):
-                reads.append(MemRead("tree", leaf_addr + 1 + slot * RULE_WORDS,
-                                     RULE_WORDS, RULE_COMPARE_CYCLES))
-                if self.ruleset[rule_id].matches(header):
-                    result = rule_id
-                    break
-        return LookupTrace(tuple(reads), compute_after=RULE_COMPARE_CYCLES,
-                           result=result)
-
-    def depth(self) -> int:
-        def node_depth(ref: int, seen: dict[int, int]) -> int:
-            if ref < 0:
-                return 0
-            if ref in seen:
-                return seen[ref]
-            node = self.nodes[ref]
-            seen[ref] = 0
-            if isinstance(node, _Leaf):
-                depth = 1
-            else:
-                depth = 1 + max(node_depth(c, seen) for c in node.children)
-            seen[ref] = depth
-            return depth
-
-        return node_depth(self.root_ref, {})
-
-    def leaf_sizes(self) -> list[int]:
-        return [len(n.rule_ids) for n in self.nodes if isinstance(n, _Leaf)]
-
-    def mean_dims_cut(self) -> float:
-        """Average number of dimensions cut per internal node (> 1 is
-        what distinguishes HyperCuts from HiCuts)."""
-        internal = [n for n in self.nodes if isinstance(n, _Internal)]
-        if not internal:
-            return 0.0
-        return sum(len(n.dims) for n in internal) / len(internal)
+    def _index_cycles(self, node: _Internal) -> int:
+        return DIM_INDEX_CYCLES * len(node.dims)

@@ -96,6 +96,11 @@ class InternalNode:
     level: int
     children: HabsArray
 
+    @property
+    def words(self) -> int:
+        """Figure-4 layout words: one header word plus the CPA."""
+        return 1 + self.children.compressed_slots
+
 
 @dataclass
 class ExpCutsTree:
@@ -109,6 +114,19 @@ class ExpCutsTree:
     num_rules: int
     #: Build-time statistics (nodes visited, memo hits, ...).
     build_stats: dict = dc_field(default_factory=dict)
+
+    def layout_words(self) -> int:
+        """Figure-4 words of every node in ``nodes``, garbage included.
+
+        A running total kept in ``build_stats``: set by the build,
+        advanced by each swapped-in edit, and computed once for a tree
+        unpickled without it.
+        """
+        words = self.build_stats.get("layout_words")
+        if words is None:
+            words = sum(node.words for node in self.nodes)
+            self.build_stats["layout_words"] = words
+        return words
 
     @property
     def depth_bound(self) -> int:
@@ -319,7 +337,8 @@ def insert_into_tree(tree: ExpCutsTree, rule_flat: FlatRule, precedes, *,
     probe disagreement the appended nodes are discarded and
     :class:`IncrementalUpdateError` is raised.  Returns the number of
     nodes appended; replaced-node words accumulate in
-    ``tree.build_stats["garbage_words"]`` for compaction watermarks.
+    ``tree.build_stats["garbage_words"]`` and appended-node words in
+    ``tree.build_stats["layout_words"]`` for compaction watermarks.
     """
     rule_id = rule_flat[0]
     config = ExpCutsConfig(stride=tree.stride,
@@ -331,6 +350,7 @@ def insert_into_tree(tree: ExpCutsTree, rule_flat: FlatRule, precedes, *,
             "tree schedule does not match its declared stride")
     builder.nodes = tree.nodes  # append in place (copy-on-write)
     checkpoint = len(tree.nodes)
+    live_words = tree.layout_words()
     garbage = 0
     memo: dict[tuple, int | None] = {}
 
@@ -392,7 +412,7 @@ def insert_into_tree(tree: ExpCutsTree, rule_flat: FlatRule, precedes, *,
         if len(tree.nodes) >= config.max_nodes:
             raise IncrementalUpdateError(
                 f"expcuts: edit exceeded max_nodes={config.max_nodes}")
-        garbage += 1 + node.children.compressed_slots
+        garbage += node.words
         children = compress(refs, min(tree.habs_bits_log2, step.width))
         tree.nodes.append(InternalNode(node.level, children))
         new_ref = len(tree.nodes) - 1
@@ -431,6 +451,8 @@ def insert_into_tree(tree: ExpCutsTree, rule_flat: FlatRule, precedes, *,
     tree.num_rules = max(tree.num_rules, rule_id + 1)
     tree.build_stats["garbage_words"] = (
         tree.build_stats.get("garbage_words", 0) + garbage)
+    tree.build_stats["layout_words"] = live_words + sum(
+        node.words for node in tree.nodes[checkpoint:])
     return len(tree.nodes) - checkpoint
 
 
@@ -457,5 +479,6 @@ def build_expcuts(ruleset: RuleSet, config: ExpCutsConfig | None = None,
             "memo_hits": builder.memo_hits,
             "child_evaluations": builder.child_evals,
             "unique_nodes": len(builder.nodes),
+            "layout_words": sum(node.words for node in builder.nodes),
         },
     )

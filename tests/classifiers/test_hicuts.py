@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.classifiers.hicuts import HiCutsClassifier, _Internal, _Leaf
+from repro.classifiers.cuts import _Internal, _Leaf
+from repro.classifiers.hicuts import HiCutsClassifier
 from repro.classifiers.linear import RULE_WORDS
 from repro.core.rule import Rule, RuleSet
 
@@ -50,6 +51,8 @@ class TestStructure:
         refs = [ref for n in internal for ref in n.children if ref >= 0]
         # Shared children: more references than nodes.
         assert len(refs) > len(set(refs))
+        # HiCuts is the shared cuts tree with one cut dimension per node.
+        assert clf.mean_dims_cut() == 1.0
 
     def test_max_nodes_guard(self, small_cr_ruleset):
         with pytest.raises(MemoryError):

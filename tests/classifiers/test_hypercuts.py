@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.classifiers.hypercuts import HyperCutsClassifier, _Internal
+from repro.classifiers.cuts import _Internal
+from repro.classifiers.hypercuts import MAX_LOG2_FANOUT, HyperCutsClassifier
 from repro.classifiers.hicuts import HiCutsClassifier
 from repro.core.rule import Rule, RuleSet
 
@@ -22,10 +23,10 @@ class TestMultiDimensionalCutting:
         assert hyper.depth() <= hi.depth()
 
     def test_fanout_capped(self, small_cr_ruleset):
-        clf = HyperCutsClassifier.build(small_cr_ruleset, max_log2_fanout=4)
+        clf = HyperCutsClassifier.build(small_cr_ruleset)
         for node in clf.nodes:
             if isinstance(node, _Internal):
-                assert sum(node.lgs) <= 4
+                assert sum(node.lgs) <= MAX_LOG2_FANOUT
 
     def test_child_count_matches_lgs(self, small_fw_ruleset):
         clf = HyperCutsClassifier.build(small_fw_ruleset)

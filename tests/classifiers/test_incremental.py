@@ -82,6 +82,34 @@ def test_tiny_edit_budget_falls_back_to_overlay(algo, churn_pool):
     assert_oracle_equivalent(clf)
 
 
+@pytest.mark.parametrize("edit_budget", [256, 8])
+def test_expcuts_garbage_fraction_equals_full_walk(churn_pool, edit_budget):
+    """The running layout-word total behind ``garbage_fraction()`` equals
+    the full node walk after every op: swapped-in edits advance it,
+    rejected (rolled-back) edits leave it alone, and a tree unpickled
+    without the total recomputes it once."""
+    ruleset, ops = churn_pool
+    clf = UpdatableClassifier(ruleset, ExpCutsClassifier,
+                              rebuild_threshold=16, incremental=True,
+                              edit_budget=edit_budget,
+                              compaction_watermark=0.3)
+
+    def full_walk_fraction():
+        tree = clf.base.tree
+        live = sum(1 + n.children.compressed_slots for n in tree.nodes)
+        return tree.build_stats.get("garbage_words", 0) / max(live, 1)
+
+    for op in ops:
+        if op[0] == "insert":
+            clf.insert(op[2], op[1])
+        else:
+            clf.remove(op[1])
+        assert clf.base.garbage_fraction() == full_walk_fraction()
+    assert clf.stats.incremental_inserts > 0
+    del clf.base.tree.build_stats["layout_words"]
+    assert clf.base.garbage_fraction() == full_walk_fraction()
+
+
 def test_compaction_reclaims_tombstones():
     ruleset = generate(PROFILES["FW01"], size=24, seed=5).with_default()
     clf = UpdatableClassifier(ruleset, ExpCutsClassifier,
