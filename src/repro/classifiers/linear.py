@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.engine import LookupTrace, MemRead
+from ..core.fields import NUM_FIELDS
 from ..core.rule import RuleSet
 from ..obs.trace import DecisionTrace
 from .base import MemoryRegion, PacketClassifier
@@ -33,13 +34,14 @@ class LinearSearchClassifier(PacketClassifier):
 
     def __init__(self, ruleset: RuleSet) -> None:
         super().__init__(ruleset)
-        # Vectorized bounds for classify_batch: (num_rules, 5) lo/hi.
+        # Field-major bounds for classify_batch: (5, num_rules) lo/hi.
+        rules = ruleset.rules
         self._lo = np.array(
-            [[iv.lo for iv in r.intervals] for r in ruleset.rules], dtype=np.int64
-        ).reshape(len(ruleset), 5)
+            [[r.intervals[f].lo for r in rules] for f in range(NUM_FIELDS)],
+            dtype=np.int64).reshape(NUM_FIELDS, len(rules))
         self._hi = np.array(
-            [[iv.hi for iv in r.intervals] for r in ruleset.rules], dtype=np.int64
-        ).reshape(len(ruleset), 5)
+            [[r.intervals[f].hi for r in rules] for f in range(NUM_FIELDS)],
+            dtype=np.int64).reshape(NUM_FIELDS, len(rules))
 
     @classmethod
     def build(cls, ruleset: RuleSet, budget=None,
@@ -72,20 +74,25 @@ class LinearSearchClassifier(PacketClassifier):
         return result
 
     def classify_batch(self, fields: Sequence[np.ndarray]) -> np.ndarray:
-        n = len(fields[0])
+        """First-match rule index per header, ``-1`` for none.
+
+        ``fields`` are five parallel uint32 or int64 arrays.  Each field
+        is compared against every rule's bounds as one ``(n, rules)``
+        boolean plane; the ten planes are ANDed in place and the first
+        set column of each row is the answer.
+        """
+        cols = [np.asarray(f, dtype=np.int64)[:, None] for f in fields]
+        n = len(cols[0])
         if not len(self.ruleset):
             return np.full(n, -1, dtype=np.int64)
-        headers = np.stack(
-            [np.asarray(f, dtype=np.int64) for f in fields], axis=1
-        )  # (n, 5)
-        # (n, rules, 5) broadcast compare; fine for oracle-scale data.
-        matches = (
-            (headers[:, None, :] >= self._lo[None, :, :])
-            & (headers[:, None, :] <= self._hi[None, :, :])
-        ).all(axis=2)
-        any_match = matches.any(axis=1)
-        first = matches.argmax(axis=1)
-        return np.where(any_match, first, -1).astype(np.int64)
+        match = np.greater_equal(cols[0], self._lo[0])
+        plane = np.empty_like(match)
+        match &= np.less_equal(cols[0], self._hi[0], out=plane)
+        for f in range(1, NUM_FIELDS):
+            match &= np.greater_equal(cols[f], self._lo[f], out=plane)
+            match &= np.less_equal(cols[f], self._hi[f], out=plane)
+        first = match.argmax(axis=1)
+        return np.where(match[np.arange(n), first], first, -1)
 
     def access_trace(self, header: Sequence[int]) -> LookupTrace:
         reads = []

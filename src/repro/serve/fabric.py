@@ -66,7 +66,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..classifiers import ALGORITHMS
+import numpy as np
+
+from ..classifiers import ALGORITHMS, LinearSearchClassifier
 from ..classifiers.updates import UpdatableClassifier
 from ..core.budget import BuildBudget
 from ..core.errors import (
@@ -176,7 +178,7 @@ class Fabric:
                  compact_every: int = 64) -> None:
         """``incremental`` lets shard bases absorb inserts by in-place
         structure edits; ``epoch_history`` bounds how many past epochs
-        of oracle copies and per-shard op batches are retained (for
+        of linear oracles and per-shard op batches are retained (for
         settled-epoch audits and anti-entropy re-sends — a worker
         lagging further is reseeded and recycled); ``compact_every``
         caps a shard's delta-chain length before its base is
@@ -193,7 +195,6 @@ class Fabric:
         self._charge = charge
         self._lookup_cost_s = lookup_cost_s
         self.rules = list(rules)
-        self._oracle = RuleSet(self.rules, name="fabric-oracle")
         self.plan = ShardPlan.build(self.rules, num_shards)
         self.metrics = MetricsRegistry()
         self._fabric = self.metrics.scope("fabric")
@@ -215,10 +216,10 @@ class Fabric:
         self.epoch = 0
         self._epoch_history_limit = epoch_history
         self._compact_every = compact_every
-        #: Frozen oracle copies per epoch, for settled-epoch audits of
-        #: answers served by lagging workers.
-        self._oracles: dict[int, RuleSet] = {0: RuleSet(list(self.rules),
-                                                        name="oracle@0")}
+        #: Linear oracle per retained epoch (the current one included),
+        #: for settled-epoch audits of answers served by lagging workers.
+        self._oracles: dict[int, LinearSearchClassifier] = {
+            0: self._oracle_at(0)}
         #: Per-shard retained op batches, for anti-entropy re-sends.
         self._shard_ops_history: dict[str, dict[int, tuple]] = {}
         #: Per-shard delta-chain cursor: base/prev payload hashes and
@@ -394,8 +395,7 @@ class Fabric:
         # by design only for the *failing* op onward — callers treat an
         # UpdateError as fatal for the batch source, not retryable.)
         self.epoch = epoch
-        self._oracles[epoch] = RuleSet(list(self.rules),
-                                       name=f"oracle@{epoch}")
+        self._oracles[epoch] = self._oracle_at(epoch)
         while len(self._oracles) > self._epoch_history_limit:
             self._oracles.pop(next(iter(self._oracles)))
         for spec in self.specs:
@@ -417,6 +417,12 @@ class Fabric:
         self._fabric.counter("epochs").inc()
         self._fabric.gauge("epoch").set(epoch)
         return epoch
+
+    def _oracle_at(self, epoch: int) -> LinearSearchClassifier:
+        """The linear oracle over the current global rules, frozen as
+        ``epoch``'s."""
+        return LinearSearchClassifier(RuleSet(list(self.rules),
+                                              name=f"oracle@{epoch}"))
 
     def _write_delta(self, spec: ShardSpec, epoch: int, batch: tuple) -> None:
         """Persist one epoch's shard-local batch as a chained delta."""
@@ -598,7 +604,7 @@ class Fabric:
         self._fabric.log_histogram("epoch_lag").observe(
             max(0, self.epoch - applied))
         with self.stages.span("audit"):
-            self._audit(header, answers[0], applied)
+            self._audit([header], answers, applied)
         self._fabric.counter("served").inc()
         self._fabric.log_histogram("latency_us").observe(elapsed * 1e6)
         return answers[0]
@@ -665,37 +671,39 @@ class Fabric:
                     self._fabric.log_histogram("epoch_lag").observe(
                         max(0, self.epoch - applied))
                     with self.stages.span("audit"):
-                        for pos, answer in zip(positions, answers):
-                            self._audit(headers[pos], answer, applied)
-                            outcomes[pos] = {"status": "served",
-                                             "rule": answer}
+                        self._audit(batch, answers, applied)
+                    for pos, answer in zip(positions, answers):
+                        outcomes[pos] = {"status": "served", "rule": answer}
                     self._fabric.counter("served").inc(len(positions))
             finally:
                 for _ in range(admitted):
                     self._gate.release()
         return outcomes
 
-    def _audit(self, header, result: int | None,
-               applied_epoch: int | None = None) -> None:
-        """In-lock differential check against the oracle *at the epoch
-        the answering worker had applied* — a lagging worker's answer is
-        correct for the rule version it served, so auditing it against a
-        newer ruleset would flag staleness as wrongness.  An epoch
-        evicted from history cannot be audited and is counted instead.
+    def _audit(self, headers: Sequence[Sequence[int]],
+               answers: Sequence[int | None], applied_epoch: int) -> None:
+        """In-lock differential check of one shard's answers against the
+        oracle *at the epoch the answering worker had applied* — a
+        lagging worker's answer is correct for the rule version it
+        served, so auditing it against a newer ruleset would flag
+        staleness as wrongness.  One vectorized oracle call checks every
+        answer; an epoch evicted from history cannot be audited and each
+        of its answers is counted instead.
         """
         if not self.policy.oracle_check:
             return
-        if applied_epoch is None or applied_epoch == self.epoch:
-            oracle = self._oracle
-        else:
-            oracle = self._oracles.get(applied_epoch)
-            if oracle is None:
-                self._fabric.counter("oracle.unauditable").inc()
-                return
-        self._fabric.counter("oracle.checks").inc()
-        want = oracle.first_match(header)
-        if want != result:
-            self._fabric.counter("oracle.divergences").inc()
+        oracle = self._oracles.get(applied_epoch)
+        if oracle is None:
+            self._fabric.counter("oracle.unauditable").inc(len(answers))
+            return
+        self._fabric.counter("oracle.checks").inc(len(answers))
+        fields = np.array(headers, dtype=np.int64).T
+        want = oracle.classify_batch(fields)
+        got = np.array([-1 if a is None else a for a in answers],
+                       dtype=np.int64)
+        wrong = int(np.count_nonzero(want != got))
+        if wrong:
+            self._fabric.counter("oracle.divergences").inc(wrong)
 
     # -- supervision passthrough -------------------------------------------
 

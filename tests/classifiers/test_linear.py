@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.classifiers.linear import RULE_WORDS, LinearSearchClassifier
+from repro.core.fields import FIELD_WIDTHS
 from repro.core.rule import Rule, RuleSet
 
 
@@ -30,19 +31,47 @@ class TestClassify:
             LinearSearchClassifier.build(tiny_ruleset, binth=4)
 
     def test_batch_matches_scalar(self, small_fw_ruleset, rng):
-        clf = LinearSearchClassifier.build(small_fw_ruleset)
-        fields = [
+        random_fields = [
             rng.integers(0, 1 << 32, size=64, dtype=np.uint32),
             rng.integers(0, 1 << 32, size=64, dtype=np.uint32),
             rng.integers(0, 1 << 16, size=64, dtype=np.uint32),
             rng.integers(0, 1 << 16, size=64, dtype=np.uint32),
             rng.integers(0, 1 << 8, size=64, dtype=np.uint32),
         ]
-        batch = clf.classify_batch(fields)
-        for idx in range(64):
-            header = tuple(int(f[idx]) for f in fields)
-            expected = clf.classify(header)
-            assert batch[idx] == (-1 if expected is None else expected)
+        no_default = RuleSet(small_fw_ruleset.rules[:-1])
+        misses = 0
+        for ruleset in (small_fw_ruleset, no_default, RuleSet([])):
+            clf = LinearSearchClassifier.build(ruleset)
+            for fields in (random_fields, _boundary_fields(ruleset)):
+                headers = list(zip(*(f.tolist() for f in fields)))
+                expected = [-1 if want is None else want
+                            for want in map(clf.classify, headers)]
+                misses += expected.count(-1)
+                for dtype in (np.uint32, np.int64):
+                    typed = [f.astype(dtype) for f in fields]
+                    for size in (1, 64):
+                        for lo in range(0, len(headers), size):
+                            batch = clf.classify_batch(
+                                [f[lo:lo + size] for f in typed])
+                            assert batch.tolist() == expected[lo:lo + size]
+        assert misses  # the no-match answer was exercised
+
+
+def _boundary_fields(ruleset: RuleSet) -> list[np.ndarray]:
+    """Headers on every rule edge: per rule and field, the field at the
+    rule's ``lo``, ``hi``, ``lo-1`` and ``hi+1`` (clipped to the field's
+    range) with the other fields at the rule's ``lo``; plus the all-zero
+    and all-maximum headers."""
+    maxima = [(1 << w) - 1 for w in FIELD_WIDTHS]
+    headers = [tuple(maxima), (0,) * len(maxima)]
+    for rule in ruleset:
+        base = [iv.lo for iv in rule.intervals]
+        for f, iv in enumerate(rule.intervals):
+            for value in (iv.lo, iv.hi, iv.lo - 1, iv.hi + 1):
+                header = list(base)
+                header[f] = min(max(value, 0), maxima[f])
+                headers.append(tuple(header))
+    return [np.array(col, dtype=np.int64) for col in zip(*headers)]
 
 
 class TestCostModel:

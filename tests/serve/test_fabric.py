@@ -206,3 +206,78 @@ class TestSheddingAndRecovery:
             assert loaded["metrics"]["counters"]["fabric.served"] >= 1
         finally:
             fab.supervisor.stop()
+
+
+# -- the audit catches wrong answers --------------------------------------------
+
+class TestAuditCatchesWrongAnswers:
+    """Every served answer is audited (checked, or counted unauditable
+    when its epoch left the history), and a wrong one is counted."""
+
+    @pytest.fixture
+    def audited(self, fw_ruleset, tmp_path):
+        clock = ManualClock()
+        fab = Fabric(list(fw_ruleset), tmp_path / "shards", num_shards=2,
+                     policy=POLICY, supervision=SUPERVISION,
+                     clock=clock, charge=clock.advance, epoch_history=1)
+        yield fab
+        fab.supervisor.stop()
+
+    @staticmethod
+    def tamper(fabric, monkeypatch, wrong, stamp=None):
+        """Corrupt the first ``wrong`` answers of the next shard reply;
+        ``stamp`` re-stamps every reply with that applied epoch."""
+        real = fabric.supervisor.request
+        left = [wrong]
+
+        def request(shard, headers, now=None):
+            answers = list(real(shard, headers, now))
+            for i in range(min(left[0], len(answers))):
+                answers[i] = 0 if answers[i] is None else answers[i] + 1
+            left[0] = 0
+            if stamp is not None:
+                fabric.supervisor.handles[shard].applied_epoch = stamp
+            return answers
+
+        monkeypatch.setattr(fabric.supervisor, "request", request)
+
+    @staticmethod
+    def assert_all_audited(fabric):
+        assert (fabric.counter("oracle.checks")
+                + fabric.counter("oracle.unauditable")
+                == fabric.counter("served"))
+
+    def test_batch_divergences_counted(self, audited, fw_headers,
+                                       monkeypatch):
+        headers = fw_headers[:40]
+        first = audited.plan.route(headers[0])
+        assert sum(audited.plan.route(h) == first for h in headers) >= 3
+        self.tamper(audited, monkeypatch, wrong=3)
+        outcomes = audited.classify_batch(headers)
+        assert all(o["status"] == "served" for o in outcomes)
+        assert audited.counter("oracle.divergences") == 3
+        assert audited.counter("oracle.checks") == len(headers)
+        assert audited.counter("served") == len(headers)
+        self.assert_all_audited(audited)
+
+    def test_scalar_divergences_counted(self, audited, fw_headers,
+                                        monkeypatch):
+        self.tamper(audited, monkeypatch, wrong=1)
+        for header in fw_headers[:10]:
+            audited.classify(header)
+        assert audited.counter("oracle.divergences") == 1
+        assert audited.counter("oracle.checks") == 10
+        self.assert_all_audited(audited)
+
+    def test_evicted_epoch_unauditable_per_header(self, audited, fw_headers,
+                                                  monkeypatch):
+        audited.apply_updates([("insert", len(audited.rules), Rule.any())])
+        assert 0 not in audited._oracles  # epoch_history=1 evicted it
+        self.tamper(audited, monkeypatch, wrong=2, stamp=0)
+        headers = fw_headers[:20]
+        audited.classify_batch(headers)
+        audited.classify(headers[0])
+        assert audited.counter("oracle.unauditable") == len(headers) + 1
+        assert audited.counter("oracle.checks") == 0
+        assert audited.counter("oracle.divergences") == 0
+        self.assert_all_audited(audited)
