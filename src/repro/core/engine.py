@@ -36,6 +36,8 @@ KEY_EXTRACT_CYCLES = 2
 #: Cycles for CPA address arithmetic (shift, add, add).
 ADDRESS_ARITH_CYCLES = 3
 
+_LEAF = int(LEAF_FLAG)
+
 
 @dataclass(frozen=True)
 class MemRead:
@@ -75,56 +77,77 @@ class LookupTrace:
 
 
 class ExpCutsEngine:
-    """Classify packets against a packed :class:`TreeImage`."""
+    """Classify packets against a packed :class:`TreeImage`.
+
+    The scalar walk runs off a per-level *plan*: one
+    ``(words, field, shift, mask)`` tuple per level, where ``words`` is a
+    zero-copy ``memoryview`` over that level's ``uint32`` segment, so a
+    read yields a plain ``int`` without boxing a numpy scalar.  The plan is
+    derived state: it is rebuilt whenever ``image`` or ``schedule`` is
+    assigned, and it is never pickled (memoryviews cannot be, and the
+    payload stays exactly ``image``, ``schedule`` and ``use_pop_count``).
+    """
+
+    schedule: list[CutStep]
 
     def __init__(self, image: TreeImage, use_pop_count: bool = True) -> None:
         self.image = image
-        self.schedule: list[CutStep] = image.tree.schedule
+        self.schedule = image.tree.schedule
         self.use_pop_count = use_pop_count
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name in ("image", "schedule") and hasattr(self, "schedule"):
+            object.__setattr__(self, "_plan", self._build_plan())
+
+    def __getstate__(self) -> dict:
+        return {name: self.__dict__[name]
+                for name in ("image", "schedule", "use_pop_count")}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+
+    def _build_plan(self) -> tuple[tuple[memoryview, int, int, int], ...]:
+        """One ``(words, field, shift, mask)`` per level of the schedule."""
+        return tuple(
+            (memoryview(seg).cast("B").cast("I"),
+             int(step.field), step.shift, (1 << step.width) - 1)
+            for seg, step in zip(self.image.levels, self.schedule)
+        )
 
     # -- scalar ---------------------------------------------------------
 
     def classify(self, header: Sequence[int]) -> int | None:
-        """Return the matched rule id (or ``None``) for one header."""
-        ptr = self.image.root_ptr
-        level = 0
-        bound = len(self.schedule)
-        while not ptr & int(LEAF_FLAG):
-            if level >= bound:
-                # Watchdog: only a corrupted image can get here — the
-                # packed tree is at most ``bound`` levels deep.
-                raise DepthBoundExceededError(
-                    f"lookup descended past the {bound}-level bound"
-                )
-            ptr = self._descend(ptr, level, header)[0]
-            level += 1
-        return decode_leaf(ptr)
+        """Return the matched rule id (or ``None``) for one header.
 
-    def _descend(self, addr: int, level: int, header: Sequence[int]) -> tuple[int, int]:
-        """One level: returns ``(child pointer word, compute cycles)``."""
-        seg = self.image.levels[level]
-        hw = int(seg[addr])
-        step = self.schedule[level]
-        key = (header[step.field] >> step.shift) & ((1 << step.width) - 1)
-        cycles = KEY_EXTRACT_CYCLES
+        Per level: read the node header word, count the HABS bits below
+        the key's sub-array (one ``POP_COUNT``), read the pointer word.
+        ``use_pop_count`` only changes the modelled cycle cost, so both
+        settings take this walk.
+        """
+        ptr = self.image.root_ptr
+        if ptr & _LEAF:
+            return decode_leaf(ptr)
         if self.image.aggregated:
-            habs = hw & 0xFFFF
-            u = (hw >> 20) & 0xF
-            m = key >> u
-            j = key & ((1 << u) - 1)
-            mask = (1 << (m + 1)) - 1
-            if self.use_pop_count:
-                i = popcount(habs & mask) - 1
-                cycles += POP_COUNT_CYCLES
-            else:
-                i, risc_cycles = popcount_risc_model(habs & mask)
-                i -= 1
-                cycles += risc_cycles
-            slot = (i << u) + j
+            for words, field, shift, mask in self._plan:
+                hw = words[ptr]
+                key = (header[field] >> shift) & mask
+                u = (hw >> 20) & 0xF
+                pop = (hw & 0xFFFF & ((2 << (key >> u)) - 1)).bit_count()
+                ptr = words[ptr + ((pop - 1) << u) + (key & ((1 << u) - 1)) + 1]
+                if ptr & _LEAF:
+                    return decode_leaf(ptr)
         else:
-            slot = key
-        cycles += ADDRESS_ARITH_CYCLES
-        return int(seg[addr + 1 + slot]), cycles
+            for words, field, shift, mask in self._plan:
+                ptr = words[ptr + 1 + ((header[field] >> shift) & mask)]
+                if ptr & _LEAF:
+                    return decode_leaf(ptr)
+        # Watchdog: only a corrupted image can get here — the packed tree
+        # is at most ``len(schedule)`` levels deep.
+        raise DepthBoundExceededError(
+            f"lookup descended past the {len(self.schedule)}-level bound"
+        )
 
     # -- instrumented ----------------------------------------------------
 

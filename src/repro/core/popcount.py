@@ -24,7 +24,7 @@ def popcount(value: int) -> int:
     """Number of set bits in a non-negative integer."""
     if value < 0:
         raise ValueError("popcount is defined for non-negative integers")
-    return bin(value).count("1")
+    return value.bit_count()
 
 
 def popcount_risc_model(value: int, width: int = 16) -> tuple[int, int]:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.classifiers.linear import RULE_WORDS, LinearSearchClassifier
-from repro.core.fields import FIELD_WIDTHS
 from repro.core.rule import Rule, RuleSet
+
+from ..conftest import boundary_headers
 
 
 class TestClassify:
@@ -58,20 +59,8 @@ class TestClassify:
 
 
 def _boundary_fields(ruleset: RuleSet) -> list[np.ndarray]:
-    """Headers on every rule edge: per rule and field, the field at the
-    rule's ``lo``, ``hi``, ``lo-1`` and ``hi+1`` (clipped to the field's
-    range) with the other fields at the rule's ``lo``; plus the all-zero
-    and all-maximum headers."""
-    maxima = [(1 << w) - 1 for w in FIELD_WIDTHS]
-    headers = [tuple(maxima), (0,) * len(maxima)]
-    for rule in ruleset:
-        base = [iv.lo for iv in rule.intervals]
-        for f, iv in enumerate(rule.intervals):
-            for value in (iv.lo, iv.hi, iv.lo - 1, iv.hi + 1):
-                header = list(base)
-                header[f] = min(max(value, 0), maxima[f])
-                headers.append(tuple(header))
-    return [np.array(col, dtype=np.int64) for col in zip(*headers)]
+    """:func:`boundary_headers` as int64 field columns."""
+    return [np.array(col, dtype=np.int64) for col in zip(*boundary_headers(ruleset))]
 
 
 class TestCostModel:

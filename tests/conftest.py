@@ -96,6 +96,23 @@ def ruleset_strategy(draw, max_rules: int = 12, prefix_ips: bool = True) -> Rule
     return RuleSet(rules, name="hypothesis")
 
 
+def boundary_headers(ruleset: RuleSet) -> list[tuple[int, ...]]:
+    """Headers on every rule edge: per rule and field, the field at the
+    rule's ``lo``, ``hi``, ``lo-1`` and ``hi+1`` (clipped to the field's
+    range) with the other fields at the rule's ``lo``; plus the all-zero
+    and all-maximum headers."""
+    maxima = [(1 << w) - 1 for w in FIELD_WIDTHS]
+    headers = [tuple(maxima), (0,) * len(maxima)]
+    for rule in ruleset:
+        base = [iv.lo for iv in rule.intervals]
+        for f, iv in enumerate(rule.intervals):
+            for value in (iv.lo, iv.hi, iv.lo - 1, iv.hi + 1):
+                header = list(base)
+                header[f] = min(max(value, 0), maxima[f])
+                headers.append(tuple(header))
+    return headers
+
+
 @st.composite
 def header_strategy(draw) -> tuple[int, int, int, int, int]:
     return tuple(

@@ -1,13 +1,18 @@
 """Lookup-engine tests: scalar, batch and trace paths must all agree."""
 
+import pickle
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
+from repro.classifiers.expcuts import ExpCutsClassifier
 from repro.core.engine import ExpCutsEngine
 from repro.core.expcuts import ExpCutsConfig, build_expcuts
 from repro.core.layout import pack_tree
+from repro.core.rule import Rule, RuleSet
 
-from ..conftest import header_strategy, ruleset_strategy
+from ..conftest import boundary_headers, header_strategy, ruleset_strategy
 
 
 def _engine(ruleset, **kwargs):
@@ -39,6 +44,66 @@ class TestScalarLookup:
         slow, _ = _engine(tiny_ruleset, use_pop_count=False)
         header = (0x0A000001, 0xC0A80105, 12345, 80, 6)
         assert fast.classify(header) == slow.classify(header)
+
+
+class TestScalarWalkEquivalence:
+    """The fast scalar walk gives the answer of every other path — the
+    traced walk, the batch walk, the IR tree and the linear oracle — on
+    headers at every rule edge, for each image variant."""
+
+    @staticmethod
+    def _assert_all_paths_agree(clf, ruleset, expected=None):
+        headers = boundary_headers(ruleset)
+        want = expected or ruleset.first_match
+        scalar = [clf.engine.classify(h) for h in headers]
+        assert scalar == [want(h) for h in headers]
+        assert scalar == [clf.tree.classify(h) for h in headers]
+        assert scalar == [clf.access_trace(h).result for h in headers]
+        batch = clf.classify_batch([np.array(col, dtype=np.uint32)
+                                    for col in zip(*headers)])
+        assert batch.tolist() == [-1 if r is None else r for r in scalar]
+
+    @pytest.mark.parametrize("use_pop_count", [True, False])
+    @pytest.mark.parametrize("stride", [4, 8])
+    @pytest.mark.parametrize("aggregated", [True, False])
+    def test_image_variants(self, small_fw_ruleset, aggregated, stride,
+                            use_pop_count):
+        # Without the default rule some leaves are no-match leaves.
+        ruleset = RuleSet(small_fw_ruleset.rules[:-1])
+        clf = ExpCutsClassifier.build(ruleset, stride=stride,
+                                      aggregated=aggregated,
+                                      use_pop_count=use_pop_count)
+        self._assert_all_paths_agree(clf, ruleset)
+        assert None in map(clf.classify, boundary_headers(ruleset))
+
+    @pytest.mark.parametrize("aggregated", [True, False])
+    def test_pickle_round_trip(self, small_cr_ruleset, aggregated):
+        clf = ExpCutsClassifier.build(small_cr_ruleset, aggregated=aggregated)
+        # The per-level memoryview plan is derived state: never pickled
+        # (it could not be), rebuilt on load.
+        assert set(clf.engine.__getstate__()) == {
+            "image", "schedule", "use_pop_count"}
+        loaded = pickle.loads(pickle.dumps(clf))
+        self._assert_all_paths_agree(loaded, small_cr_ruleset)
+
+    def test_after_incremental_insert(self, small_fw_ruleset):
+        ruleset = RuleSet(list(small_fw_ruleset))
+        clf = ExpCutsClassifier.build(ruleset)
+        new_id = len(ruleset)
+        ruleset.append(Rule.from_prefixes(sip="10.1.0.0/16", dip="10.2.0.0/15",
+                                          dport=(80, 443), proto=6))
+        # The new rule outranks every existing one.
+        assert clf.insert_rule(new_id, lambda existing: True)
+        clf._ensure_image()
+        oracle = RuleSet([ruleset[new_id]] + list(ruleset)[:new_id])
+
+        def expected(header):
+            first = oracle.first_match(header)
+            if first is None:
+                return None
+            return new_id if first == 0 else first - 1
+
+        self._assert_all_paths_agree(clf, ruleset, expected)
 
 
 class TestTrace:
