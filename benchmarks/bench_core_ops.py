@@ -99,3 +99,67 @@ def test_batch_beats_scalar_loop(run_once, engine, batch_fields):
           f"{scalar_time * 1e3:.1f} ms over {BATCH_VS_SCALAR_PACKETS} packets "
           f"(median of {BATCH_VS_SCALAR_SAMPLES} samples)")
     assert batch_time < scalar_time
+
+
+#: FW03 headers per sample of the serving-path benchmark.
+SERVICE_PATH_PACKETS = 2048
+
+
+# Real pps through the whole serving path and through the bare replica
+# it fronts (both higher-is-better); the measured result is a
+# (served_time, bare_time) pair of per-pass medians.
+@pytest.mark.bench_metrics(lambda times: {
+    "served_kpps": round(SERVICE_PATH_PACKETS / times[0] / 1e3, 3),
+    "bare_kpps": round(SERVICE_PATH_PACKETS / times[1] / 1e3, 3),
+})
+def test_service_path(run_once):
+    """What the serving layer costs on top of the lookup it fronts.
+
+    One sample is a pass of FW03 headers through ``FloodGuard.submit``
+    -> ``ClassificationService.classify`` (two ExpCuts replicas, like
+    the edge service), interleaved with a pass straight through the
+    primary's ``UpdatableClassifier.classify``; each side reports the
+    median of ``BATCH_VS_SCALAR_SAMPLES`` samples.
+    """
+    import statistics
+    import time
+
+    from repro.classifiers import ExpCutsClassifier
+    from repro.classifiers.updates import UpdatableClassifier
+    from repro.core.rule import RuleSet
+    from repro.harness import get_ruleset
+    from repro.obs.metrics import MetricsRegistry
+    from repro.serve import ClassificationService, FloodGuard, ServicePolicy
+
+    rules = list(get_ruleset("FW03").rules)
+    replicas = [UpdatableClassifier(RuleSet(list(rules)), ExpCutsClassifier)
+                for _ in range(2)]
+    # A generous slow-call bound: a scheduler hiccup on a shared host
+    # must not trip a breaker in the middle of a sample.
+    service = ClassificationService(replicas,
+                                    policy=ServicePolicy(slow_call_s=0.5))
+    guard = FloodGuard(service.classify, MetricsRegistry().scope("guard"))
+    submit, bare = guard.submit, replicas[0].classify
+    trace = get_trace("FW03", count=SERVICE_PATH_PACKETS)
+    headers = list(zip(*(f.tolist() for f in trace.field_arrays())))
+
+    def measure():
+        served_times, bare_times = [], []
+        for _ in range(BATCH_VS_SCALAR_SAMPLES):
+            start = time.perf_counter()
+            for header in headers:
+                submit(header)
+            served_times.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            for header in headers:
+                bare(header)
+            bare_times.append(time.perf_counter() - start)
+        return statistics.median(served_times), statistics.median(bare_times)
+
+    served_time, bare_time = run_once(measure)
+    print(f"\nserved {served_time / SERVICE_PATH_PACKETS * 1e6:.2f} us vs "
+          f"bare {bare_time / SERVICE_PATH_PACKETS * 1e6:.2f} us per header "
+          f"over {SERVICE_PATH_PACKETS} FW03 headers "
+          f"(median of {BATCH_VS_SCALAR_SAMPLES} samples)")
+    assert service.counter("served") == (
+        BATCH_VS_SCALAR_SAMPLES * SERVICE_PATH_PACKETS)

@@ -13,6 +13,11 @@ lookups and a no-op call.  Code on genuinely hot paths should guard with
 everything wired in this repository emits at end-of-run aggregation
 points, where the disabled cost is unmeasurable.
 
+Per-request code (the serving layer counts every request on a private
+registry) binds its instruments once with :meth:`MetricScope.bind`: the
+returned :class:`BoundInstrument` resolves its name on the first event
+and is a plain attribute read after that.
+
 Enable around a region of interest::
 
     from repro.obs import enable_metrics, get_registry
@@ -329,11 +334,46 @@ class _NullScope:
     def log_histogram(self, name: str) -> _NullInstrument:
         return _NULL
 
+    def bind(self, name: str, kind: str = "counter") -> _NullInstrument:
+        return _NULL
+
     def scope(self, name: str) -> "_NullScope":
         return self
 
 
 _NULL_SCOPE = _NullScope()
+
+
+class BoundInstrument:
+    """One scope instrument, resolved by name on its first event.
+
+    Resolving lazily keeps the registry's contract that an instrument
+    appears in a snapshot only once something was recorded into it.
+    :meth:`MetricsRegistry.reset` unbinds every resolved handle, so the
+    next event resolves again into the live registry instead of writing
+    into a dropped instrument.
+    """
+
+    __slots__ = ("_scope", "_name", "_kind", "_inst")
+
+    def __init__(self, scope: "MetricScope", name: str, kind: str) -> None:
+        self._scope = scope
+        self._name = name
+        self._kind = kind
+        self._inst = None
+
+    def _resolve(self):
+        scope = self._scope
+        inst = getattr(scope.registry, self._kind)(scope._qualify(self._name))
+        scope.registry._bound.append(self)
+        self._inst = inst
+        return inst
+
+    def inc(self, amount: int | float = 1) -> None:
+        (self._inst or self._resolve()).inc(amount)
+
+    def observe(self, value: float) -> None:
+        (self._inst or self._resolve()).observe(value)
 
 
 @dataclass
@@ -358,6 +398,12 @@ class MetricScope:
     def log_histogram(self, name: str) -> LogHistogram:
         return self.registry.log_histogram(self._qualify(name))
 
+    def bind(self, name: str, kind: str = "counter") -> BoundInstrument:
+        """A handle on instrument ``name`` for per-event code: a
+        ``counter`` (``inc``) or a ``histogram``/``log_histogram``
+        (``observe``).  Hold it, and each event skips the name lookup."""
+        return BoundInstrument(self, name, kind)
+
     def scope(self, name: str) -> "MetricScope":
         return MetricScope(self.registry, self._qualify(name))
 
@@ -372,6 +418,10 @@ class MetricsRegistry:
     #: share one namespace — a name is one kind or the other, never both.
     histograms: dict[str, "Histogram | LogHistogram"] = field(
         default_factory=dict)
+    #: Handles resolved into the instruments above; :meth:`reset`
+    #: unbinds them along with the instruments it drops.
+    _bound: list[BoundInstrument] = field(
+        default_factory=list, repr=False, compare=False)
 
     def counter(self, name: str) -> Counter:
         inst = self.counters.get(name)
@@ -433,6 +483,9 @@ class MetricsRegistry:
         self.counters.clear()
         self.gauges.clear()
         self.histograms.clear()
+        for handle in self._bound:
+            handle._inst = None
+        self._bound.clear()
 
     def render(self) -> str:
         """Human-readable one-line-per-instrument dump."""

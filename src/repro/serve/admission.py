@@ -24,6 +24,9 @@ from typing import Callable
 from ..core.errors import AdmissionRejected, ConfigurationError, ServiceStopped
 from ..obs.metrics import MetricScope
 
+#: Every reason :meth:`AdmissionGate.admit` sheds with, in decision order.
+SHED_REASONS = ("stopped", "stopping", "queue_full", "rate_limited")
+
 
 class AdmissionGate:
     """Bounded, token-bucket-limited, drainable admission control.
@@ -37,7 +40,10 @@ class AdmissionGate:
                  bucket=None, lock: threading.RLock | None = None) -> None:
         if max_in_flight < 1:
             raise ConfigurationError("max_in_flight must be >= 1")
-        self._scope = scope
+        self._requests = scope.bind("requests")
+        self._admitted = scope.bind("admitted")
+        self._sheds = {reason: scope.bind(f"shed.{reason}")
+                       for reason in SHED_REASONS}
         self._max_in_flight = max_in_flight
         self._bucket = bucket
         self.lock = lock or threading.RLock()
@@ -70,7 +76,7 @@ class AdmissionGate:
         each already counted under ``<scope>.shed.<reason>``.
         """
         with self.lock:
-            self._scope.counter("requests").inc()
+            self._requests.inc()
             if self._stopped:
                 self._shed("stopped")
             if self._draining:
@@ -79,13 +85,13 @@ class AdmissionGate:
                 self._shed("queue_full")
             if self._bucket is not None and not self._bucket.try_acquire(tokens):
                 self._shed("rate_limited")
-            self._scope.counter("admitted").inc()
+            self._admitted.inc()
             self._in_flight += 1
             self._seq += 1
             return self._seq
 
     def _shed(self, reason: str) -> None:
-        self._scope.counter(f"shed.{reason}").inc()
+        self._sheds[reason].inc()
         if reason in ("stopped", "stopping"):
             raise ServiceStopped(reason)
         raise AdmissionRejected(reason)
@@ -94,7 +100,9 @@ class AdmissionGate:
         """An admitted request finished (served or failed)."""
         with self.lock:
             self._in_flight -= 1
-            self._cond.notify_all()
+            if self._draining:
+                # Only a drain waits on the condition (wait_drained).
+                self._cond.notify_all()
 
     # -- lifecycle ---------------------------------------------------------
 

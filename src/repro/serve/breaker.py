@@ -57,6 +57,9 @@ class CircuitBreaker:
         self.transitions: list[BreakerTransition] = []
         #: (ok, slow) per completed call, newest last.
         self._window: deque[tuple[bool, bool]] = deque(maxlen=policy.breaker_window)
+        #: Failed and slow calls in ``_window``, kept as it changes.
+        self._failures = 0
+        self._slows = 0
         self._opened_at = 0.0
         self._half_open_in_flight = 0
         self._half_open_successes = 0
@@ -111,28 +114,38 @@ class CircuitBreaker:
             self._half_open_successes += 1
             if self._half_open_successes >= self.policy.half_open_probes:
                 self._transition(CLOSED, "probes succeeded")
-                self._window.clear()
+                self._clear_window()
             return
         if self.state == OPEN:
             # Stragglers dispatched before the trip: informational only.
             return
-        self._window.append((ok, slow))
-        if len(self._window) < self.policy.breaker_min_calls:
+        window = self._window
+        if len(window) == window.maxlen:
+            evicted_ok, evicted_slow = window[0]
+            self._failures -= not evicted_ok
+            self._slows -= evicted_slow
+        window.append((ok, slow))
+        self._failures += not ok
+        self._slows += slow
+        n = len(window)
+        if n < self.policy.breaker_min_calls:
             return
-        n = len(self._window)
-        failures = sum(1 for call_ok, _ in self._window if not call_ok)
-        slows = sum(1 for _, call_slow in self._window if call_slow)
-        if failures / n >= self.policy.failure_rate_threshold:
-            self._open(f"failure rate {failures}/{n}")
-        elif slows / n >= self.policy.slow_call_rate_threshold:
-            self._open(f"slow-call rate {slows}/{n}")
+        if self._failures / n >= self.policy.failure_rate_threshold:
+            self._open(f"failure rate {self._failures}/{n}")
+        elif self._slows / n >= self.policy.slow_call_rate_threshold:
+            self._open(f"slow-call rate {self._slows}/{n}")
 
     # -- transitions -------------------------------------------------------
 
     def _open(self, reason: str) -> None:
         self._opened_at = self._clock()
         self._transition(OPEN, reason)
+        self._clear_window()
+
+    def _clear_window(self) -> None:
         self._window.clear()
+        self._failures = 0
+        self._slows = 0
 
     def _transition(self, to_state: str, reason: str) -> None:
         self.transitions.append(BreakerTransition(

@@ -79,6 +79,13 @@ class FloodGuard:
             raise ConfigurationError("table capacities must be >= 1")
         self._classify = classify
         self._scope = scope
+        self._offered = scope.bind("offered")
+        self._served = scope.bind("served")
+        self._handshakes = scope.bind("handshakes_completed")
+        self._syn_proven = scope.bind("syn_proven")
+        #: Per traffic class: (offered, served, class scope), built on
+        #: the class's first packet.
+        self._classes: dict[str, tuple] = {}
         self._budget = half_open_budget
         self._proof_capacity = proof_capacity
         self._established_capacity = established_capacity
@@ -136,9 +143,15 @@ class FloodGuard:
         or ``syn_unproven`` when the packet is shed; otherwise returns
         whatever the wrapped ``classify`` returns (or raises).
         """
-        self._scope.counter("offered").inc()
-        klass_scope = self._scope.scope(f"class.{klass}")
-        klass_scope.counter("offered").inc()
+        self._offered.inc()
+        entry = self._classes.get(klass)
+        if entry is None:
+            klass_scope = self._scope.scope(f"class.{klass}")
+            entry = self._classes[klass] = (klass_scope.bind("offered"),
+                                            klass_scope.bind("served"),
+                                            klass_scope)
+        klass_offered, klass_served, klass_scope = entry
+        klass_offered.inc()
         if not checksum_ok:
             self._shed("bad_checksum", klass_scope)
         key = self.connection_key(header)
@@ -149,13 +162,13 @@ class FloodGuard:
                 del self._half_open[key]
                 self._remember(self._established, key,
                                self._established_capacity)
-                self._scope.counter("handshakes_completed").inc()
+                self._handshakes.inc()
         elif kind in (FIN, FINACK):
             self._half_open.pop(key, None)
             self._established.pop(key, None)
         result = self._classify(header)
-        self._scope.counter("served").inc()
-        klass_scope.counter("served").inc()
+        self._served.inc()
+        klass_served.inc()
         return result
 
     def _police_syn(self, key: tuple, klass_scope: MetricScope) -> None:
@@ -168,7 +181,7 @@ class FloodGuard:
             if key in self._proof:
                 # Proven by retransmission: a real client came back.
                 del self._proof[key]
-                self._scope.counter("syn_proven").inc()
+                self._syn_proven.inc()
                 self._open(key)
                 return
             self._remember(self._proof, key, self._proof_capacity)

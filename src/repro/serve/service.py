@@ -10,7 +10,7 @@ mid-rebuild or faulted.  Every request runs the same pipeline:
    :class:`~repro.core.errors.AdmissionRejected` whose ``reason`` is
    counted under ``serve.shed.<reason>``.  Shedding early is the point:
    a request that cannot meet its deadline anyway should cost nothing.
-2. **Deadline** — each admitted request gets a
+2. **Deadline** — each admitted request with a budget gets a
    :class:`~repro.core.budget.Deadline`; it is checked before every
    attempt and *after* the answer is produced, so the service returns
    :class:`~repro.core.errors.DeadlineExceeded` rather than a late
@@ -37,7 +37,6 @@ snapshotting state through :mod:`repro.harness.snapshots`.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable, Sequence
 
@@ -62,6 +61,10 @@ from .policy import ServicePolicy
 #: Failure classes the retry policy absorbs; anything else propagates
 #: (a programming mistake must not be retried into the logs).
 RETRYABLE_ERRORS = (TransientServiceError, ChannelOfflineError, SnapshotError)
+
+#: The deadline of every request without a budget: never expires, so a
+#: request without one builds no per-request deadline object.
+NO_DEADLINE = Deadline(None, clock=lambda: 0.0)
 
 
 class Replica:
@@ -123,7 +126,22 @@ class ClassificationService:
         # are off: its counters are the interface the acceptance checks
         # (zero divergences, nonzero sheds) read.
         self.metrics = MetricsRegistry()
-        self._serve = self.metrics.scope("serve")
+        serve = self.metrics.scope("serve")
+        # Bound once, resolved on first use: a request pays no name
+        # lookup, and an unused counter stays out of the snapshot.
+        self._served = serve.bind("served")
+        self._latency_us = serve.bind("latency_us", "log_histogram")
+        self._retries = serve.bind("retries")
+        self._retries_exhausted = serve.bind("retries_exhausted")
+        self._transient_failures = serve.bind("transient_failures")
+        self._deadline_exceeded = serve.bind("deadline_exceeded")
+        self._failovers = serve.bind("failovers")
+        self._breaker_open_rejections = serve.bind("breaker_open_rejections")
+        self._shadow_checks = serve.bind("shadow.checks")
+        self._shadow_errors = serve.bind("shadow.errors")
+        self._shadow_divergences = serve.bind("shadow.divergences")
+        self._oracle_checks = serve.bind("oracle.checks")
+        self._oracle_divergences = serve.bind("oracle.divergences")
         bucket = None
         if self.policy.rate_limit_per_s is not None:
             from .policy import TokenBucket
@@ -133,7 +151,7 @@ class ClassificationService:
         # Admission (shed early, shed typed) is shared with the fabric;
         # the gate owns the lock so structure access below serialises
         # under the same lock admission decisions take.
-        self._gate = AdmissionGate(self._serve, self.policy.max_in_flight,
+        self._gate = AdmissionGate(serve, self.policy.max_in_flight,
                                    bucket=bucket)
         self._lock = self._gate.lock
 
@@ -153,101 +171,102 @@ class ClassificationService:
         try:
             budget = (self.policy.default_deadline_s
                       if deadline_s is None else deadline_s)
-            deadline = Deadline(budget, clock=self._clock)
+            deadline = (NO_DEADLINE if budget is None
+                        else Deadline(budget, clock=self._clock))
             return self._classify_admitted(header, seq, deadline)
         finally:
             self._gate.release()
 
     def _classify_admitted(self, header, seq: int,
                            deadline: Deadline) -> int | None:
-        retry = self.policy.retry
+        policy = self.policy
+        retry = policy.retry
+        audits = policy.shadow or policy.oracle_check
         last_error: BaseException | None = None
-        failed_here: set[int] = set()
+        failed_here: set[Replica] = set()
         for attempt in range(1, retry.max_attempts + 1):
             try:
                 deadline.check()
             except DeadlineExceeded:
-                self._serve.counter("deadline_exceeded").inc()
+                self._deadline_exceeded.inc()
                 raise
-            try:
-                replica = self._pick_replica(failed_here)
-            except CircuitOpenError:
-                # A breaker may reach half-open after the cool-down, so
-                # an all-open moment is itself a transient condition.
-                if attempt >= retry.max_attempts:
-                    raise
-                self._serve.counter("retries").inc()
-                self._backoff(retry.delay(seq, attempt), deadline)
-                continue
-            start = self._clock()
-            try:
-                with self.stages.span("classify"), self._lock:
-                    result = replica.lookup(header, start)
-                    # Capture the differential answers under the SAME
-                    # lock hold as the lookup: an update landing between
-                    # lookup and audit would otherwise be compared
-                    # against a newer rule list and flagged as a false
-                    # divergence.
-                    audit = self._capture_audit(replica, header)
-            except RETRYABLE_ERRORS as exc:
-                elapsed = self._clock() - start
-                with self._lock:
-                    replica.breaker.record_failure(elapsed)
-                self._serve.counter("transient_failures").inc()
-                failed_here.add(id(replica))
-                last_error = exc
+            # One lock hold per attempt: pick, lookup, audit capture and
+            # the breaker record see the same replica and rule state.
+            with self._lock:
+                try:
+                    replica = self._pick_replica(failed_here)
+                except CircuitOpenError:
+                    # A breaker may reach half-open after the cool-down,
+                    # so an all-open moment is itself transient.
+                    if attempt >= retry.max_attempts:
+                        raise
+                    replica = None
+                if replica is not None:
+                    start = self._clock()
+                    try:
+                        with self.stages.span("classify"):
+                            result = replica.lookup(header, start)
+                            # Capture the differential answers under the
+                            # SAME lock hold as the lookup: an update
+                            # landing in between would otherwise be
+                            # compared against a newer rule list and
+                            # flagged as a false divergence.
+                            audit = (self._capture_audit(replica, header)
+                                     if audits else None)
+                    except RETRYABLE_ERRORS as exc:
+                        replica.breaker.record_failure(self._clock() - start)
+                        self._transient_failures.inc()
+                        failed_here.add(replica)
+                        last_error = exc
+                        replica = None
+                    else:
+                        elapsed = self._clock() - start
+                        replica.breaker.record_success(
+                            elapsed, degraded=replica.is_degraded())
+            if replica is None:
                 if attempt < retry.max_attempts:
-                    self._serve.counter("retries").inc()
+                    self._retries.inc()
                     self._backoff(retry.delay(seq, attempt), deadline)
                 continue
-            elapsed = self._clock() - start
-            with self._lock:
-                replica.breaker.record_success(elapsed,
-                                               degraded=replica.is_degraded())
             try:
                 deadline.check()
             except DeadlineExceeded:
                 # Too late: the caller's SLO is gone, a late answer is a
                 # wrong answer.  Count it, drop it, raise typed.
-                self._serve.counter("deadline_exceeded").inc()
+                self._deadline_exceeded.inc()
                 raise
-            with self.stages.span("audit"):
-                self._check_audit(audit, result)
-            self._serve.counter("served").inc()
-            self._serve.log_histogram("latency_us").observe(elapsed * 1e6)
+            if audit is not None:
+                with self.stages.span("audit"):
+                    self._check_audit(audit, result)
+            self._served.inc()
+            self._latency_us.observe(elapsed * 1e6)
             return result
-        self._serve.counter("retries_exhausted").inc()
+        self._retries_exhausted.inc()
         raise RetriesExhausted(
             f"no replica answered within {retry.max_attempts} attempts "
             f"(last: {last_error!r})",
             attempts=retry.max_attempts, last=last_error,
         )
 
-    def _pick_replica(self, failed_here: set[int] = frozenset()) -> Replica:
+    def _pick_replica(self, failed_here: set[Replica] = frozenset()) -> Replica:
         """First breaker-approved replica in priority order.
 
         ``failed_here`` holds replicas that already failed *this*
         request: a retry prefers a fresh replica (per-request failover)
-        and only returns to a failed one when nothing else is allowed.
+        and only returns to a failed one when no fresh one is allowed.
+        Fresh replicas are asked first because ``allow()`` takes a
+        half-open probe slot that only the returned replica gives back.
+        The caller holds the service lock.
         """
-        with self._lock:
-            fallback: tuple[int, Replica] | None = None
-            for idx, replica in enumerate(self.replicas):
-                if not replica.breaker.allow():
-                    continue
-                if id(replica) in failed_here:
-                    if fallback is None:
-                        fallback = (idx, replica)
-                    continue
+        order = enumerate(self.replicas)
+        if failed_here:
+            order = sorted(order, key=lambda item: item[1] in failed_here)
+        for idx, replica in order:
+            if replica.breaker.allow():
                 if idx > 0:
-                    self._serve.counter("failovers").inc()
+                    self._failovers.inc()
                 return replica
-            if fallback is not None:
-                idx, replica = fallback
-                if idx > 0:
-                    self._serve.counter("failovers").inc()
-                return replica
-        self._serve.counter("breaker_open_rejections").inc()
+        self._breaker_open_rejections.inc()
         raise CircuitOpenError(
             f"all {len(self.replicas)} replica breakers are open")
 
@@ -285,16 +304,16 @@ class ClassificationService:
     def _check_audit(self, audit: dict, result: int | None) -> None:
         """Compare the captured differential answers; count divergences."""
         if "shadow_error" in audit:
-            self._serve.counter("shadow.checks").inc()
-            self._serve.counter("shadow.errors").inc()
+            self._shadow_checks.inc()
+            self._shadow_errors.inc()
         elif "shadow" in audit:
-            self._serve.counter("shadow.checks").inc()
+            self._shadow_checks.inc()
             if audit["shadow"] != result:
-                self._serve.counter("shadow.divergences").inc()
+                self._shadow_divergences.inc()
         if "oracle" in audit:
-            self._serve.counter("oracle.checks").inc()
+            self._oracle_checks.inc()
             if audit["oracle"] != result:
-                self._serve.counter("oracle.divergences").inc()
+                self._oracle_divergences.inc()
 
     # -- updates (applied to every replica) --------------------------------
 

@@ -75,6 +75,31 @@ class TestEnabledRegistry:
         reg.reset()
         assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
+    def test_bound_instruments_resolve_on_first_event(self):
+        reg = MetricsRegistry()
+        scope = reg.scope("serve")
+        served = scope.bind("served")
+        latency = scope.bind("latency_us", "log_histogram")
+        assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+        served.inc()
+        served.inc(2)
+        latency.observe(12.0)
+        assert reg.counter("serve.served").value == 3
+        assert reg.log_histogram("serve.latency_us").total == 1
+
+    def test_reset_unbinds_bound_instruments(self):
+        reg = MetricsRegistry()
+        served = reg.scope("serve").bind("served")
+        served.inc(5)
+        reg.reset()
+        assert reg.snapshot()["counters"] == {}
+        served.inc()
+        assert reg.snapshot()["counters"] == {"serve.served": 1}
+
+    def test_null_scope_binds_the_null_instrument(self):
+        assert _NULL_SCOPE.bind("x") is _NULL
+        assert _NULL_SCOPE.bind("y", "log_histogram") is _NULL
+
     def test_render_mentions_every_instrument(self):
         reg = enable_metrics()
         reg.counter("packets").inc(7)

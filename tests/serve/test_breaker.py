@@ -1,6 +1,8 @@
 """Circuit-breaker state machine: trip, cool-down, half-open probes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     CLOSED,
@@ -226,3 +228,64 @@ class TestHalfOpenRace:
             assert ("failure rate" in t.reason
                     or "slow-call rate" in t.reason
                     or "probe" in t.reason)
+
+
+class RecountingBreaker(CircuitBreaker):
+    """Reference: recount the whole window after every closed-state call."""
+
+    def _record(self, ok, slow):
+        if self.state != CLOSED:
+            super()._record(ok, slow)
+            return
+        self._window.append((ok, slow))
+        if len(self._window) < self.policy.breaker_min_calls:
+            return
+        n = len(self._window)
+        failures = sum(1 for call_ok, _ in self._window if not call_ok)
+        slows = sum(1 for _, call_slow in self._window if call_slow)
+        if failures / n >= self.policy.failure_rate_threshold:
+            self._open(f"failure rate {failures}/{n}")
+        elif slows / n >= self.policy.slow_call_rate_threshold:
+            self._open(f"slow-call rate {slows}/{n}")
+
+
+BREAKER_OPS = st.one_of(
+    st.tuples(st.just("success"), st.sampled_from([1e-5, 1e-3, 5e-3]),
+              st.booleans()),
+    st.tuples(st.just("failure"), st.sampled_from([0.0, 1e-5, 5e-3])),
+    st.tuples(st.just("advance"), st.sampled_from([0.1, 0.6, 1.2])),
+    st.tuples(st.just("allow")),
+)
+
+
+class TestRunningCountsMatchRecount:
+    @settings(max_examples=300, deadline=None)
+    @given(window=st.integers(1, 8), min_calls=st.integers(1, 10),
+           failure_rate=st.sampled_from([0.25, 0.5, 1.0]),
+           slow_rate=st.sampled_from([0.5, 0.8, 1.0]),
+           probes=st.integers(1, 3),
+           ops=st.lists(BREAKER_OPS, max_size=120))
+    def test_same_states_and_transitions(self, window, min_calls,
+                                         failure_rate, slow_rate, probes,
+                                         ops):
+        policy = ServicePolicy(
+            breaker_window=window, breaker_min_calls=min_calls,
+            failure_rate_threshold=failure_rate,
+            slow_call_rate_threshold=slow_rate, slow_call_s=1e-3,
+            open_s=1.0, half_open_probes=probes)
+        clock = ManualClock()
+        fast = CircuitBreaker(policy, clock=clock)
+        reference = RecountingBreaker(policy, clock=clock)
+        for op in ops:
+            if op[0] == "advance":
+                clock.advance(op[1])
+            elif op[0] == "allow":
+                assert fast.allow() == reference.allow()
+            else:
+                for breaker in (fast, reference):
+                    if op[0] == "success":
+                        breaker.record_success(op[1], degraded=op[2])
+                    else:
+                        breaker.record_failure(op[1])
+            assert fast.state == reference.state
+        assert fast.transitions == reference.transitions

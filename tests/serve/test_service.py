@@ -1,6 +1,9 @@
 """ClassificationService: admission, deadlines, retry, failover, audit,
 drain/stop and snapshot persistence."""
 
+import threading
+import time
+
 import pytest
 
 from repro.classifiers import LinearSearchClassifier
@@ -17,6 +20,7 @@ from repro.core.errors import (
 from repro.core.rule import Rule
 from repro.obs.metrics import disable_metrics, enable_metrics
 from repro.serve import (
+    CLOSED,
     OPEN,
     ClassificationService,
     ManualClock,
@@ -213,6 +217,30 @@ class TestRetryAndFailover:
         assert primary.calls == calls_when_open
         assert svc.counter("served") == 9
 
+    def test_failed_replica_keeps_no_half_open_probe(self, tiny_ruleset):
+        """A retry must not take a half-open probe slot on a replica it
+        then skips: the slot would never come back, and the breaker
+        would stay half-open (no probes allowed) after the replica
+        heals.  ``open_s`` is shorter than the backoff, so the primary's
+        breaker has cooled down by the time the retry picks a replica.
+        """
+        primary = FlakyHook(fail_first=2)
+        standby = FlakyHook(fail_first=0)
+        policy = ServicePolicy(breaker_window=4, breaker_min_calls=2,
+                               failure_rate_threshold=0.5, open_s=50e-6,
+                               half_open_probes=1,
+                               retry=RetryPolicy(jitter=0.0))
+        svc, _ = service_for(tiny_ruleset, policy=policy,
+                             hooks={0: primary, 1: standby})
+        for _ in range(2):  # the second failure trips the primary
+            assert svc.classify(HEADER) == tiny_ruleset.first_match(HEADER)
+        assert svc.replicas[0].breaker.state == OPEN
+        for _ in range(3):  # healed: one probe closes it, then it serves
+            assert svc.classify(HEADER) == tiny_ruleset.first_match(HEADER)
+        assert svc.replicas[0].breaker.state == CLOSED
+        assert primary.calls == 5
+        assert standby.calls == 2
+
     def test_all_breakers_open_raises_circuit_open(self, tiny_ruleset):
         hook = FlakyHook(fail_first=10**9)
         policy = ServicePolicy(breaker_window=4, breaker_min_calls=2,
@@ -327,6 +355,34 @@ class TestStopAndSnapshot:
 
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
+
+    def test_drain_waits_for_blocked_request(self, tiny_ruleset):
+        """``stop(drain=True)`` from another thread returns once the
+        in-flight request finishes, long before the drain timeout."""
+        entered, release = threading.Event(), threading.Event()
+
+        def block(now):
+            entered.set()
+            release.wait(10.0)
+
+        svc, _ = service_for(tiny_ruleset, replicas=1, hooks={0: block})
+        out = {}
+        request = threading.Thread(
+            target=lambda: out.setdefault("answer", svc.classify(HEADER)))
+        request.start()
+        assert entered.wait(10.0)
+        stopper = threading.Thread(target=lambda: out.setdefault(
+            "state", svc.stop(drain=True, drain_timeout_s=10.0)))
+        started = time.monotonic()
+        stopper.start()
+        time.sleep(0.05)  # let stop() start waiting on the request
+        release.set()
+        request.join(10.0)
+        stopper.join(10.0)
+        assert not request.is_alive() and not stopper.is_alive()
+        assert time.monotonic() - started < 2.0
+        assert out["state"]["drained"] is True
+        assert out["answer"] == tiny_ruleset.first_match(HEADER)
 
     def test_report_shape(self, tiny_ruleset):
         svc, _ = service_for(tiny_ruleset)
