@@ -163,3 +163,71 @@ def test_service_path(run_once):
           f"(median of {BATCH_VS_SCALAR_SAMPLES} samples)")
     assert service.counter("served") == (
         BATCH_VS_SCALAR_SAMPLES * SERVICE_PATH_PACKETS)
+
+
+#: CR01 headers per pass of the fabric-audit benchmark, the burst sizes
+#: it audits them in, and the samples per (burst, input) pair.
+FABRIC_AUDIT_PACKETS = 4096
+FABRIC_AUDIT_BURSTS = (32, 64)
+FABRIC_AUDIT_SAMPLES = 15
+
+
+# Headers audited per second (higher-is-better) for each burst size and
+# input: int64 rows re-packed from header tuples per burst (the audit
+# before packed bursts) against the burst's own uint32 rows (the audit
+# now).  The measured result maps (input, burst) to the median pass time.
+@pytest.mark.bench_metrics(lambda times: {
+    f"{kind}_b{burst}_kpps": round(FABRIC_AUDIT_PACKETS / t / 1e3, 3)
+    for (kind, burst), t in sorted(times.items())
+}, clock="real")
+def test_fabric_audit_path(run_once):
+    """The fabric's in-lock oracle audit, per header, on CR01.
+
+    One sample audits every header once, burst by burst, through
+    ``LinearSearchClassifier.classify_batch``; the int64 and uint32
+    passes of each burst size alternate, and each reports the median of
+    ``FABRIC_AUDIT_SAMPLES`` samples.
+    """
+    import statistics
+    import time
+
+    from repro.classifiers import LinearSearchClassifier
+    from repro.harness import get_ruleset
+    from repro.serve.transport import pack_rows
+
+    oracle = LinearSearchClassifier(get_ruleset("CR01"))
+    trace = get_trace("CR01", count=FABRIC_AUDIT_PACKETS)
+    headers = list(zip(*(f.tolist() for f in trace.field_arrays())))
+    rows = pack_rows(headers)
+
+    def audit_int64(burst):
+        for lo in range(0, FABRIC_AUDIT_PACKETS, burst):
+            oracle.classify_batch(
+                np.array(headers[lo:lo + burst], dtype=np.int64).T)
+
+    def audit_uint32(burst):
+        for lo in range(0, FABRIC_AUDIT_PACKETS, burst):
+            oracle.classify_batch(rows[lo:lo + burst].T)
+
+    def measure():
+        samples = {(kind, burst): [] for kind in ("int64", "uint32")
+                   for burst in FABRIC_AUDIT_BURSTS}
+        for _ in range(FABRIC_AUDIT_SAMPLES):
+            for burst in FABRIC_AUDIT_BURSTS:
+                for kind, audit in (("int64", audit_int64),
+                                    ("uint32", audit_uint32)):
+                    start = time.perf_counter()
+                    audit(burst)
+                    samples[kind, burst].append(time.perf_counter() - start)
+        return {key: statistics.median(ts) for key, ts in samples.items()}
+
+    times = run_once(measure)
+    for burst in FABRIC_AUDIT_BURSTS:
+        per = {kind: times[kind, burst] / FABRIC_AUDIT_PACKETS * 1e6
+               for kind in ("int64", "uint32")}
+        print(f"\naudit, {burst}-header bursts: int64 {per['int64']:.2f} us "
+              f"vs uint32 {per['uint32']:.2f} us per header "
+              f"(median of {FABRIC_AUDIT_SAMPLES} samples)")
+    fields = rows.T
+    assert (oracle.classify_batch(fields).tolist()
+            == oracle.classify_batch(fields.astype(np.int64)).tolist())

@@ -42,7 +42,9 @@ def run_once(benchmark, request):
 
     The returned result's throughput figures (any ``*gbps*``/``*mpps*``
     leaves of its ``data`` dict) plus wall time are written as
-    ``BENCH_<name>.json`` at the repo root, keyed by the test name.
+    ``BENCH_<name>.json`` at the repo root, keyed by the test name.  A
+    ``bench_metrics`` marker supplies the figures instead, and its
+    ``clock=`` keyword, when given, is recorded as the clock domain.
     """
     name = request.node.name.removeprefix("test_")
     extractor = request.node.get_closest_marker("bench_metrics")
@@ -52,13 +54,15 @@ def run_once(benchmark, request):
         result = benchmark.pedantic(fn, rounds=1, iterations=1,
                                     warmup_rounds=0)
         wall = time.perf_counter() - start
+        clock = None
         if extractor is not None:
             metrics = extractor.args[0](result)
+            clock = extractor.kwargs.get("clock")
         else:
             data = getattr(result, "data", None)
             metrics = extract_throughput(data) if isinstance(data, dict) else {}
         try:
-            write_bench_record(name, metrics, wall)
+            write_bench_record(name, metrics, wall, clock=clock)
         except OSError:
             pass  # read-only checkout: the benchmark itself still counts
         return result

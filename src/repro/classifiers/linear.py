@@ -14,8 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from ..core.engine import LookupTrace, MemRead
+from ..core.errors import UpdateError
 from ..core.fields import NUM_FIELDS
-from ..core.rule import RuleSet
+from ..core.rule import Rule, RuleSet
 from ..obs.trace import DecisionTrace
 from .base import MemoryRegion, PacketClassifier
 
@@ -26,6 +27,8 @@ RULE_WORDS = 6
 #: (5 range compares + branch).
 RULE_COMPARE_CYCLES = 12
 
+_U32_MAX = (1 << 32) - 1
+
 
 class LinearSearchClassifier(PacketClassifier):
     """Priority-ordered scan of the whole rule table."""
@@ -34,14 +37,16 @@ class LinearSearchClassifier(PacketClassifier):
 
     def __init__(self, ruleset: RuleSet) -> None:
         super().__init__(ruleset)
-        # Field-major bounds for classify_batch: (5, num_rules) lo/hi.
+        # Field-major uint32 bounds for classify_batch, (5, num_rules):
+        # each rule's lo and its span hi - lo.
         rules = ruleset.rules
         self._lo = np.array(
             [[r.intervals[f].lo for r in rules] for f in range(NUM_FIELDS)],
-            dtype=np.int64).reshape(NUM_FIELDS, len(rules))
-        self._hi = np.array(
-            [[r.intervals[f].hi for r in rules] for f in range(NUM_FIELDS)],
-            dtype=np.int64).reshape(NUM_FIELDS, len(rules))
+            dtype=np.uint32).reshape(NUM_FIELDS, len(rules))
+        self._span = np.array(
+            [[r.intervals[f].hi - r.intervals[f].lo for r in rules]
+             for f in range(NUM_FIELDS)],
+            dtype=np.uint32).reshape(NUM_FIELDS, len(rules))
 
     @classmethod
     def build(cls, ruleset: RuleSet, budget=None,
@@ -73,24 +78,51 @@ class LinearSearchClassifier(PacketClassifier):
         self._emit_lookup_metrics(trace)
         return result
 
+    def insert(self, rule: Rule, position: int) -> None:
+        """Insert ``rule`` at priority ``position``, keeping the batch
+        bounds in step with the live rule list."""
+        if not 0 <= position <= len(self.ruleset):
+            raise UpdateError(f"position {position} out of range")
+        self.ruleset.rules.insert(position, rule)
+        self._lo = np.insert(self._lo, position,
+                             [iv.lo for iv in rule.intervals], axis=1)
+        self._span = np.insert(self._span, position,
+                               [iv.hi - iv.lo for iv in rule.intervals],
+                               axis=1)
+
+    def remove(self, position: int) -> Rule:
+        """Remove the rule at priority ``position``; returns it."""
+        if not 0 <= position < len(self.ruleset):
+            raise UpdateError(f"position {position} out of range")
+        self._lo = np.delete(self._lo, position, axis=1)
+        self._span = np.delete(self._span, position, axis=1)
+        return self.ruleset.rules.pop(position)
+
     def classify_batch(self, fields: Sequence[np.ndarray]) -> np.ndarray:
         """First-match rule index per header, ``-1`` for none.
 
-        ``fields`` are five parallel uint32 or int64 arrays.  Each field
-        is compared against every rule's bounds as one ``(n, rules)``
-        boolean plane; the ten planes are ANDed in place and the first
-        set column of each row is the answer.
+        ``fields`` are five parallel arrays; ``rows.T`` of an ``(n, 5)``
+        uint32 header block is read as it is, without a copy.  Every
+        field of every header meets every rule in one ``(n, 5, rules)``
+        plane of ``(x - lo) <= span`` in uint32 arithmetic: a value below
+        ``lo`` wraps past every span, so one subtract and one compare
+        decide both bounds.  Fields of another dtype are range-checked
+        once; a header with a value outside ``[0, 2**32)`` matches no
+        rule.
         """
-        cols = [np.asarray(f, dtype=np.int64)[:, None] for f in fields]
-        n = len(cols[0])
+        block = np.asarray(fields)
+        valid = None
+        if block.dtype != np.uint32:
+            block = block.astype(np.int64, copy=False)
+            valid = ((block >= 0) & (block <= _U32_MAX)).all(axis=0)
+            block = block.astype(np.uint32)
+        n = block.shape[1]
         if not len(self.ruleset):
             return np.full(n, -1, dtype=np.int64)
-        match = np.greater_equal(cols[0], self._lo[0])
-        plane = np.empty_like(match)
-        match &= np.less_equal(cols[0], self._hi[0], out=plane)
-        for f in range(1, NUM_FIELDS):
-            match &= np.greater_equal(cols[f], self._lo[f], out=plane)
-            match &= np.less_equal(cols[f], self._hi[f], out=plane)
+        diff = np.subtract(block.T[:, :, None], self._lo)
+        match = np.less_equal(diff, self._span).all(axis=1)
+        if valid is not None:
+            match &= valid[:, None]
         first = match.argmax(axis=1)
         return np.where(match[np.arange(n), first], first, -1)
 

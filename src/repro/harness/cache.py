@@ -33,7 +33,7 @@ from ..rulesets import paper_ruleset
 from ..traffic import Trace, matched_trace
 from . import snapshots
 
-CACHE_VERSION = 7
+CACHE_VERSION = 8
 
 #: Telemetry knobs never change the built structure, so they are stripped
 #: before keying — a traced build and a plain build share one cache entry.

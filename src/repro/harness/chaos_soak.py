@@ -43,6 +43,8 @@ and the chaos accounting in ``extra``.
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 import time
 from pathlib import Path
 
@@ -198,7 +200,10 @@ def run_chaos_soak(quick: bool = False,
 
     clock = ManualClock()
     timer = StageTimer(clock=clock)
-    snapshot_dir = cache_dir() / "fabric_chaos"
+    # A fresh directory per run: a reused one would hold an earlier
+    # run's delta records, which this run's restarts would quarantine.
+    snapshot_dir = Path(tempfile.mkdtemp(prefix="fabric_chaos_",
+                                         dir=cache_dir()))
     fabric = Fabric(list(ruleset), snapshot_dir, num_shards=3,
                     policy=POLICY, supervision=SUPERVISION,
                     algorithm="expcuts", clock=clock, charge=clock.advance,
@@ -271,6 +276,7 @@ def run_chaos_soak(quick: bool = False,
     finally:
         # Never leak worker processes, even when acceptance fails.
         fabric.supervisor.stop()
+        shutil.rmtree(snapshot_dir, ignore_errors=True)
 
     report = fabric.report()
     counters = state["metrics"]["counters"]

@@ -49,6 +49,8 @@ rate and staleness headroom in ``metrics`` (rate-compared by
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 import time
 from pathlib import Path
 
@@ -191,7 +193,10 @@ def run_update_storm(quick: bool = False) -> ExperimentResult:
 
     clock = ManualClock()
     timer = StageTimer(clock=clock)
-    snapshot_dir = cache_dir() / "fabric_storm"
+    # A fresh directory per run: a reused one would hold an earlier
+    # run's delta records, which this run's restarts would quarantine.
+    snapshot_dir = Path(tempfile.mkdtemp(prefix="fabric_storm_",
+                                         dir=cache_dir()))
     fabric = Fabric(list(ruleset), snapshot_dir, num_shards=3,
                     policy=POLICY, supervision=SUPERVISION,
                     algorithm="expcuts", clock=clock, charge=clock.advance,
@@ -287,6 +292,7 @@ def run_update_storm(quick: bool = False) -> ExperimentResult:
         state = fabric.stop(snapshot_path=cache_dir() / "fabric_storm.snap")
     finally:
         fabric.supervisor.stop()
+        shutil.rmtree(snapshot_dir, ignore_errors=True)
 
     report = fabric.report()
     counters = state["metrics"]["counters"]

@@ -80,13 +80,16 @@ def extract_throughput(data: object, _prefix: str = "",
 
 def write_bench_record(name: str, metrics: dict[str, float],
                        wall_time_s: float, root: Path | None = None,
-                       extra: dict | None = None) -> Path:
+                       extra: dict | None = None,
+                       clock: str | None = None) -> Path:
     """Write ``BENCH_<name>.json`` and return its path.
 
     ``metrics`` holds only higher-is-better numbers — the regression
     checker flags any metric that *drops*, so a latency percentile or a
     shed rate (where lower is better) belongs in ``extra``, which is
-    recorded for the trajectory but never rate-compared.
+    recorded for the trajectory but never rate-compared.  ``clock``
+    names the clock domain the metrics were measured on (``"real"`` or
+    ``"simulated"``) and is recorded when given.
     """
     root = root if root is not None else repo_root()
     payload = {
@@ -97,6 +100,8 @@ def write_bench_record(name: str, metrics: dict[str, float],
         "git_sha": git_sha(root),
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
+    if clock is not None:
+        payload["clock"] = clock
     if extra:
         payload["extra"] = {k: extra[k] for k in sorted(extra)}
     path = root / f"{BENCH_PREFIX}{name}.json"

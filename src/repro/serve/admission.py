@@ -90,6 +90,53 @@ class AdmissionGate:
             self._seq += 1
             return self._seq
 
+    def admit_burst(self, n: int) -> list[str | None]:
+        """Admit or shed ``n`` requests in one lock hold.
+
+        Returns each request's shed reason in order, ``None`` where it
+        was admitted.  Decisions, counters and the in-flight count are
+        exactly those of ``n`` sequential :meth:`admit` calls: once the
+        in-flight bound is reached every later request sheds
+        ``queue_full`` without touching the bucket.  End the admitted
+        ones with :meth:`release_many`.
+        """
+        if n <= 0:
+            return []
+        with self.lock:
+            self._requests.inc(n)
+            if self._stopped or self._draining:
+                reason = "stopped" if self._stopped else "stopping"
+                self._sheds[reason].inc(n)
+                return [reason] * n
+            room = self._max_in_flight - self._in_flight
+            if self._bucket is None:
+                admitted = min(max(room, 0), n)
+                decisions = [None] * admitted
+            else:
+                # A rate-limited request leaves the in-flight count as
+                # it was, so the next one still reaches the bucket.
+                acquire = self._bucket.try_acquire
+                decisions = []
+                admitted = 0
+                while len(decisions) < n and admitted < room:
+                    if acquire(1.0):
+                        decisions.append(None)
+                        admitted += 1
+                    else:
+                        decisions.append("rate_limited")
+                limited = len(decisions) - admitted
+                if limited:
+                    self._sheds["rate_limited"].inc(limited)
+            full = n - len(decisions)
+            if full:
+                decisions.extend(["queue_full"] * full)
+                self._sheds["queue_full"].inc(full)
+            if admitted:
+                self._admitted.inc(admitted)
+                self._in_flight += admitted
+                self._seq += admitted
+            return decisions
+
     def _shed(self, reason: str) -> None:
         self._sheds[reason].inc()
         if reason in ("stopped", "stopping"):
@@ -102,6 +149,15 @@ class AdmissionGate:
             self._in_flight -= 1
             if self._draining:
                 # Only a drain waits on the condition (wait_drained).
+                self._cond.notify_all()
+
+    def release_many(self, k: int) -> None:
+        """``k`` admitted requests finished (one :meth:`release` each)."""
+        if k <= 0:
+            return
+        with self.lock:
+            self._in_flight -= k
+            if self._draining:
                 self._cond.notify_all()
 
     # -- lifecycle ---------------------------------------------------------

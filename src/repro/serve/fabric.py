@@ -62,7 +62,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -72,7 +72,6 @@ from ..classifiers import ALGORITHMS, LinearSearchClassifier
 from ..classifiers.updates import UpdatableClassifier
 from ..core.budget import BuildBudget
 from ..core.errors import (
-    AdmissionRejected,
     ConfigurationError,
     ShardUnavailable,
     UpdateError,
@@ -85,13 +84,18 @@ from ..obs.span import NULL_STAGE_TIMER, StageTimer
 from .admission import AdmissionGate
 from .breaker import CircuitBreaker
 from .policy import ServicePolicy
-from .supervisor import RUNNING, SupervisionPolicy, Supervisor
+from .supervisor import DOWN_PHASES, RUNNING, SupervisionPolicy, Supervisor
 from .transport import (
     SHARD_DELTA_KIND,
     ShardSpec,
     apply_shard_ops,
+    pack_rows,
     write_shard_snapshot,
 )
+
+
+#: Every ``shed_phase.*`` a shard shed is counted under.
+SHED_PHASES = ("breaker_open", "restarting", "parked", "down", "mid_request")
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,16 @@ class ShardPlan:
     dim: int
     bounds: tuple[tuple[int, int], ...]
     assignments: tuple[tuple[int, ...], ...]
+    #: Each shard's first ``dim`` value, for :meth:`route`.
+    starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: :attr:`starts` as one uint32 array, for :meth:`route_rows`.
+    _start_array: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        starts = tuple(lo for lo, _ in self.bounds)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "_start_array",
+                           np.array(starts, dtype=np.uint32))
 
     @classmethod
     def build(cls, rules: Sequence[Rule], num_shards: int,
@@ -140,9 +154,13 @@ class ShardPlan:
 
     def route(self, header: Sequence[int]) -> int:
         """The shard owning ``header`` (by its ``dim`` value)."""
-        value = header[self.dim]
-        starts = [lo for lo, _ in self.bounds]
-        return min(bisect_right(starts, value) - 1, self.num_shards - 1)
+        return bisect_right(self.starts, header[self.dim]) - 1
+
+    def route_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The owning shard of every row of an ``(n, 5)`` uint32 block,
+        in one search over the shard starts."""
+        return np.searchsorted(self._start_array, rows[:, self.dim],
+                               side="right") - 1
 
     def replication_factor(self) -> float:
         """Mean copies per rule (1.0 = perfect cut, N = all wildcards)."""
@@ -207,6 +225,16 @@ class Fabric:
         self._gate = AdmissionGate(self._fabric, self.policy.max_in_flight,
                                    bucket=bucket)
         self._lock = self._gate.lock
+        fabric = self._fabric
+        self._served = fabric.bind("served")
+        self._epoch_lag = fabric.bind("epoch_lag", "log_histogram")
+        self._latency_us = fabric.bind("latency_us", "log_histogram")
+        self._shed_shard_down = fabric.bind("shed.shard_down")
+        self._shed_phases = {phase: fabric.bind(f"shed_phase.{phase}")
+                             for phase in SHED_PHASES}
+        self._oracle_checks = fabric.bind("oracle.checks")
+        self._oracle_divergences = fabric.bind("oracle.divergences")
+        self._oracle_unauditable = fabric.bind("oracle.unauditable")
 
         snapshot_dir = Path(snapshot_dir)
         snapshot_dir.mkdir(parents=True, exist_ok=True)
@@ -558,40 +586,112 @@ class Fabric:
         when the owning shard is dead, restarting, parked, or its
         breaker is open.  Any answer returned was produced by the owning
         worker and (policy permitting) audited against the full-ruleset
-        linear oracle in-lock.
+        linear oracle in-lock.  The header travels as a one-row burst
+        through the same shard path as :meth:`classify_batch`.
         """
         with self.stages.span("admission"):
             self._gate.admit()
         try:
             with self._lock:
-                return self._classify_admitted(header)
+                shard = self.specs[self.plan.route(header)].name
+                answers, elapsed = self._serve_shard(shard,
+                                                     pack_rows((header,)))
+                self._latency_us.observe(elapsed * 1e6)
         finally:
             self._gate.release()
+        answer = int(answers[0])
+        return None if answer < 0 else answer
 
-    def _classify_admitted(self, header: Sequence[int]) -> int | None:
-        shard = self.specs[self.plan.route(header)].name
+    def classify_batch(self, headers: Sequence[Sequence[int]]) -> list[dict]:
+        """Classify a batch, grouping headers per shard (one pipe round
+        trip per shard instead of per header).
+
+        The burst is packed once into an ``(n, 5)`` uint32 block, admitted
+        in one gate call and routed with one vectorised search; each
+        shard's rows travel to its worker and through the audit as one
+        block.  Never raises per-header conditions; returns one outcome
+        dict per header, in order: ``{"status": "served", "rule":
+        idx|None}`` or ``{"status": "shed", "reason": ..., "shard": ...}``.
+        """
+        n = len(headers)
+        outcomes: list = [None] * n
+        with self._lock:
+            decisions = self._gate.admit_burst(n)
+            admitted = decisions.count(None)
+            try:
+                index = None
+                if admitted < n:
+                    index = np.flatnonzero([d is None for d in decisions])
+                    for pos, reason in enumerate(decisions):
+                        if reason is not None:
+                            outcomes[pos] = {"status": "shed",
+                                             "reason": reason}
+                if admitted:
+                    rows = pack_rows(headers)
+                    self._serve_burst(rows if index is None else rows[index],
+                                      index, outcomes)
+            finally:
+                self._gate.release_many(admitted)
+        return outcomes
+
+    def _serve_burst(self, rows: np.ndarray, index: np.ndarray | None,
+                     outcomes: list) -> None:
+        """Serve the admitted rows of one burst (``index`` maps them to
+        burst positions; ``None`` when all were admitted), shard by
+        shard in the order each shard first appears, filling
+        ``outcomes`` in place."""
+        owner = self.plan.route_rows(rows)
+        groups = [(np.flatnonzero(owner == i), i)
+                  for i in range(self.plan.num_shards)]
+        groups = sorted((g for g in groups if len(g[0])),
+                        key=lambda g: g[0][0])
+        for picked, i in groups:
+            shard = self.specs[i].name
+            positions = (picked if index is None else index[picked]).tolist()
+            try:
+                answers, _ = self._serve_shard(shard, rows[picked])
+            except ShardUnavailable as exc:
+                for pos in positions:
+                    outcomes[pos] = {"status": "shed",
+                                     "reason": "shard_down",
+                                     "shard": shard, "phase": exc.phase}
+                continue
+            for pos, answer in zip(positions, answers.tolist()):
+                outcomes[pos] = {"status": "served",
+                                 "rule": None if answer < 0 else answer}
+
+    def _serve_shard(self, shard: str,
+                     rows: np.ndarray) -> tuple[np.ndarray, float]:
+        """One shard's rows, under the request lock: breaker and
+        supervisor checks, one pipe round trip, the modelled lookup
+        charge, the breaker record and the audit.
+
+        Returns the answers (``-1`` = no match) and the elapsed time the
+        breaker saw; raises :class:`ShardUnavailable`, already counted,
+        when the shard cannot serve.
+        """
+        n = len(rows)
         breaker = self.breakers[shard]
         now = self._clock()
         if not breaker.allow():
-            self._shed_shard(shard, "breaker_open")
-        if self.supervisor.state(shard) != RUNNING:
+            self._shed_shard(shard, "breaker_open", n)
+        state = self.supervisor.state(shard)
+        if state != RUNNING:
             # Dead/restarting/parked: shed and tell the breaker, so a
             # long outage opens the circuit and later requests shed at
             # the breaker without even poking the supervisor.
             breaker.record_failure(0.0)
-            phase = {"down": "restarting", "spawning": "restarting",
-                     "parked": "parked"}.get(self.supervisor.state(shard),
-                                             "down")
-            self._shed_shard(shard, phase)
+            self._shed_shard(shard, DOWN_PHASES.get(state, "down"), n)
         try:
             with self.stages.span("transport"):
-                answers = self.supervisor.request(shard, [tuple(header)], now)
+                answers = np.asarray(self.supervisor.request(shard, rows,
+                                                             now))
         except ShardUnavailable:
             breaker.record_failure(self._clock() - now)
-            self._fabric.counter("shed.shard_down").inc()
-            self._fabric.counter("shed_phase.mid_request").inc()
+            self._shed_shard_down.inc(n)
+            self._shed_phases["mid_request"].inc(n)
             raise
-        cost = self._lookup_cost_s
+        cost = self._lookup_cost_s * n
         if self._charge is not None and cost > 0:
             # The modelled lookup cost is the classify stage; the pipe
             # round trip above is transport (real time, so it reads as
@@ -601,109 +701,39 @@ class Fabric:
         elapsed = max(self._clock() - now, cost)
         breaker.record_success(elapsed)
         applied = self.supervisor.handles[shard].applied_epoch
-        self._fabric.log_histogram("epoch_lag").observe(
-            max(0, self.epoch - applied))
+        self._epoch_lag.observe(max(0, self.epoch - applied))
         with self.stages.span("audit"):
-            self._audit([header], answers, applied)
-        self._fabric.counter("served").inc()
-        self._fabric.log_histogram("latency_us").observe(elapsed * 1e6)
-        return answers[0]
+            self._audit(rows, answers, applied)
+        self._served.inc(n)
+        return answers, elapsed
 
-    def _shed_shard(self, shard: str, phase: str) -> None:
-        self._fabric.counter("shed.shard_down").inc()
-        self._fabric.counter(f"shed_phase.{phase}").inc()
+    def _shed_shard(self, shard: str, phase: str, n: int) -> None:
+        self._shed_shard_down.inc(n)
+        self._shed_phases[phase].inc(n)
         raise ShardUnavailable(shard, phase)
 
-    def classify_batch(self, headers: Sequence[Sequence[int]]) -> list[dict]:
-        """Classify a batch, grouping headers per shard (one pipe round
-        trip per shard instead of per header).
-
-        Never raises per-header conditions; returns one outcome dict per
-        header, in order: ``{"status": "served", "rule": idx|None}`` or
-        ``{"status": "shed", "reason": ..., "shard": ...}``.
-        """
-        outcomes: list[dict] = [{} for _ in headers]
-        groups: dict[str, list[int]] = {}
-        admitted = 0
-        with self._lock:
-            for pos, header in enumerate(headers):
-                try:
-                    self._gate.admit()
-                except AdmissionRejected as exc:
-                    outcomes[pos] = {"status": "shed", "reason": exc.reason}
-                    continue
-                admitted += 1
-                shard = self.specs[self.plan.route(header)].name
-                groups.setdefault(shard, []).append(pos)
-            try:
-                for shard, positions in groups.items():
-                    batch = [tuple(headers[pos]) for pos in positions]
-                    breaker = self.breakers[shard]
-                    now = self._clock()
-                    try:
-                        if not breaker.allow():
-                            raise ShardUnavailable(shard, "breaker_open")
-                        if self.supervisor.state(shard) != RUNNING:
-                            breaker.record_failure(0.0)
-                            raise ShardUnavailable(shard, "restarting")
-                        with self.stages.span("transport"):
-                            answers = self.supervisor.request(shard, batch,
-                                                              now)
-                    except ShardUnavailable as exc:
-                        if exc.phase not in ("breaker_open",):
-                            breaker.record_failure(self._clock() - now)
-                        self._fabric.counter("shed.shard_down").inc(
-                            len(positions))
-                        self._fabric.counter(f"shed_phase.{exc.phase}").inc(
-                            len(positions))
-                        for pos in positions:
-                            outcomes[pos] = {"status": "shed",
-                                             "reason": "shard_down",
-                                             "shard": shard,
-                                             "phase": exc.phase}
-                        continue
-                    cost = self._lookup_cost_s * len(positions)
-                    if self._charge is not None and cost > 0:
-                        with self.stages.span("classify"):
-                            self._charge(cost)
-                    breaker.record_success(max(self._clock() - now, cost))
-                    applied = self.supervisor.handles[shard].applied_epoch
-                    self._fabric.log_histogram("epoch_lag").observe(
-                        max(0, self.epoch - applied))
-                    with self.stages.span("audit"):
-                        self._audit(batch, answers, applied)
-                    for pos, answer in zip(positions, answers):
-                        outcomes[pos] = {"status": "served", "rule": answer}
-                    self._fabric.counter("served").inc(len(positions))
-            finally:
-                for _ in range(admitted):
-                    self._gate.release()
-        return outcomes
-
-    def _audit(self, headers: Sequence[Sequence[int]],
-               answers: Sequence[int | None], applied_epoch: int) -> None:
+    def _audit(self, rows: np.ndarray, answers: np.ndarray,
+               applied_epoch: int) -> None:
         """In-lock differential check of one shard's answers against the
         oracle *at the epoch the answering worker had applied* — a
         lagging worker's answer is correct for the rule version it
         served, so auditing it against a newer ruleset would flag
-        staleness as wrongness.  One vectorized oracle call checks every
-        answer; an epoch evicted from history cannot be audited and each
-        of its answers is counted instead.
+        staleness as wrongness.  One vectorized oracle call over the
+        shard's own uint32 rows checks every answer; an epoch evicted
+        from history cannot be audited and each of its answers is
+        counted instead.
         """
         if not self.policy.oracle_check:
             return
         oracle = self._oracles.get(applied_epoch)
         if oracle is None:
-            self._fabric.counter("oracle.unauditable").inc(len(answers))
+            self._oracle_unauditable.inc(len(answers))
             return
-        self._fabric.counter("oracle.checks").inc(len(answers))
-        fields = np.array(headers, dtype=np.int64).T
-        want = oracle.classify_batch(fields)
-        got = np.array([-1 if a is None else a for a in answers],
-                       dtype=np.int64)
-        wrong = int(np.count_nonzero(want != got))
+        self._oracle_checks.inc(len(answers))
+        wrong = int(np.count_nonzero(oracle.classify_batch(rows.T)
+                                     != answers))
         if wrong:
-            self._fabric.counter("oracle.divergences").inc(wrong)
+            self._oracle_divergences.inc(wrong)
 
     # -- supervision passthrough -------------------------------------------
 

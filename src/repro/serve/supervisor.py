@@ -40,6 +40,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ..core.errors import (
     ConfigurationError,
     ShardUnavailable,
@@ -48,13 +50,16 @@ from ..core.errors import (
 )
 from ..obs.metrics import MetricScope, MetricsRegistry
 from ..obs.span import NULL_STAGE_TIMER, StageTimer
-from .transport import ShardSpec, worker_main
+from .transport import ShardSpec, pack_rows, unpack_answers, worker_main
 
 SPAWNING = "spawning"
 RUNNING = "running"
 DOWN = "down"
 PARKED = "parked"
 STOPPED = "stopped"
+
+#: Shed phase of a shard whose worker is not running, by worker state.
+DOWN_PHASES = {DOWN: "restarting", SPAWNING: "restarting", PARKED: "parked"}
 
 
 @dataclass(frozen=True)
@@ -432,8 +437,13 @@ class Supervisor:
 
     # -- serving -----------------------------------------------------------
 
-    def request(self, shard: str, headers, now: float | None = None) -> list:
+    def request(self, shard: str, headers,
+                now: float | None = None) -> np.ndarray:
         """Classify ``headers`` on ``shard``; returns global rule indices.
+
+        ``headers`` is an ``(n, 5)`` uint32 block or any sequence of
+        headers (packed here); the answers are ``n`` int32 global rule
+        indices, ``-1`` where no rule matches.
 
         Raises :class:`ShardUnavailable` when the shard cannot serve
         (down, restarting, parked, or it died mid-request) and
@@ -442,13 +452,12 @@ class Supervisor:
         """
         handle = self.handles[shard]
         if handle.state != RUNNING or handle.conn is None:
-            phase = {DOWN: "restarting", PARKED: "parked",
-                     SPAWNING: "restarting"}.get(handle.state, "down")
-            raise ShardUnavailable(shard, phase)
+            raise ShardUnavailable(shard,
+                                   DOWN_PHASES.get(handle.state, "down"))
         if now is None:
             now = self._clock()
         try:
-            handle.conn.send(("classify", headers))
+            handle.conn.send(("classify", pack_rows(headers).tobytes()))
         except (BrokenPipeError, OSError):
             self._note_death(handle, now, "pipe_closed")
             raise ShardUnavailable(shard, "down") from None
@@ -466,7 +475,7 @@ class Supervisor:
             # Answers are stamped with the epoch they were served at so
             # the fabric can audit against exactly that rule version.
             handle.applied_epoch = int(reply[2])
-        return reply[1]
+        return unpack_answers(reply[1])
 
     # -- update propagation ------------------------------------------------
 

@@ -7,7 +7,7 @@ the supervisor and the worker cannot drift apart:
 parent → worker messages::
 
     ("ping", seq)          liveness probe; a healthy worker answers pong
-    ("classify", headers)  classify a batch; answers ("result", ...)
+    ("classify", rows)     classify a batch; answers ("result", ...)
     ("update", epoch, ops) one epoch's shard-local rule edits (one-way)
     ("stop",)              graceful shutdown; answers ("bye", stats)
     ("hang",)              chaos hook: stop reading the pipe forever
@@ -22,6 +22,14 @@ worker → parent messages::
                            stamped with the epoch they were served at
     ("error", message)     a lookup failed; the request is retryable
     ("bye", stats)         graceful-stop acknowledgement
+
+**Classify payloads are packed.**  ``rows`` is the ``bytes`` of a
+C-contiguous ``(n, 5)`` uint32 header block (:data:`HEADER_DTYPE`, one
+row per header in field order), and ``answers`` the ``bytes`` of ``n``
+int32 global rule indices (:data:`ANSWER_DTYPE`), ``-1`` for no match.
+:func:`pack_rows` and :func:`unpack_answers` are the two ends the parent
+uses.  The message itself stays a pickled tuple, so framing and the
+order of sends are those of every other message.
 
 **Update epochs.**  Rule updates arrive as ``("update", epoch, ops)``
 with a fabric-wide monotonic epoch per batch.  The worker applies
@@ -63,19 +71,51 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+
+import numpy as np
 
 from ..classifiers import ALGORITHMS, LinearSearchClassifier
 from ..classifiers.updates import UpdatableClassifier
 from ..core.budget import BuildBudget
 from ..core.errors import ReproError, SnapshotIntegrityError, UpdateError
+from ..core.fields import NUM_FIELDS
 from ..core.rule import Rule, RuleSet
 
 #: Snapshot ``kind`` for a shard's published build (rules + structure).
 SHARD_SNAPSHOT_KIND = "fabric-shard"
 #: Delta-record ``kind`` for one epoch's shard-local edit log.
 SHARD_DELTA_KIND = "fabric-shard-delta"
+#: Wire dtype of a classify request's header rows.
+HEADER_DTYPE = np.uint32
+#: Wire dtype of a classify result's answers (``-1`` = no match).
+ANSWER_DTYPE = np.int32
+
+
+def pack_rows(headers) -> np.ndarray:
+    """Headers as one C-contiguous ``(n, 5)`` uint32 block.
+
+    A uint32 array passes through uncopied.  Anything else is read once
+    (a sequence of headers through ``np.fromiter``) and range-checked:
+    a field outside ``[0, 2**32)`` raises :class:`OverflowError` instead
+    of wrapping into another header.
+    """
+    if isinstance(headers, np.ndarray):
+        if headers.dtype == HEADER_DTYPE:
+            return np.ascontiguousarray(headers).reshape(-1, NUM_FIELDS)
+        wide = headers.astype(np.int64)
+    else:
+        wide = np.fromiter(chain.from_iterable(headers), np.int64,
+                           NUM_FIELDS * len(headers))
+    if (wide >> 32).any():
+        raise OverflowError("header field outside [0, 2**32)")
+    return wide.astype(HEADER_DTYPE).reshape(-1, NUM_FIELDS)
+
+
+def unpack_answers(payload: bytes) -> np.ndarray:
+    """The int32 answers of one ``result`` message."""
+    return np.frombuffer(payload, dtype=ANSWER_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -138,9 +178,9 @@ def apply_shard_ops(classifier, global_map: list[int], ops) -> None:
     ``global_map`` stays sorted ascending (shard rules are kept in
     global priority order), so local edit positions computed by the
     parent at translation time remain valid here.  The classifier is an
-    :class:`~repro.classifiers.updates.UpdatableClassifier` (or, on the
-    last degradation rung, a bare linear classifier whose live rule
-    list is edited directly — its scalar ``classify`` reads that list).
+    :class:`~repro.classifiers.updates.UpdatableClassifier` or, on the
+    last degradation rung, a :class:`LinearSearchClassifier`; both edit
+    their rule list through ``insert(rule, position)``/``remove(position)``.
     """
     for op in ops:
         kind = op[0]
@@ -150,16 +190,10 @@ def apply_shard_ops(classifier, global_map: list[int], ops) -> None:
                 if g >= global_pos:
                     global_map[i] = g + 1
             global_map.insert(local_pos, global_pos)
-            if hasattr(classifier, "insert"):
-                classifier.insert(rule, local_pos)
-            else:
-                classifier.ruleset.rules.insert(local_pos, rule)
+            classifier.insert(rule, local_pos)
         elif kind == "remove":
             _, local_pos, global_pos = op
-            if hasattr(classifier, "remove"):
-                classifier.remove(local_pos)
-            else:
-                classifier.ruleset.rules.pop(local_pos)
+            classifier.remove(local_pos)
             del global_map[local_pos]
             for i, g in enumerate(global_map):
                 if g > global_pos:
@@ -275,15 +309,16 @@ def worker_main(conn, spec: ShardSpec) -> None:
                 "rebuild_backlog": int(backlog),
             }))
         elif kind == "classify":
-            headers: Sequence[Sequence[int]] = message[1]
             try:
-                answers = []
-                for header in headers:
-                    local = classifier.classify(header)
-                    answers.append(None if local is None
-                                   else global_map[local])
+                headers = np.frombuffer(message[1], dtype=HEADER_DTYPE
+                                        ).reshape(-1, NUM_FIELDS).tolist()
+                lookup = classifier.classify
+                answers = [-1 if local is None else global_map[local]
+                           for local in map(lookup, headers)]
                 served += len(headers)
-                conn.send(("result", answers, applied_epoch))
+                conn.send(("result",
+                           np.array(answers, dtype=ANSWER_DTYPE).tobytes(),
+                           applied_epoch))
             except Exception as exc:  # noqa: BLE001 - reported, not fatal
                 conn.send(("error", repr(exc)))
         elif kind == "update":

@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.classifiers.linear import RULE_WORDS, LinearSearchClassifier
+from repro.core.errors import UpdateError
 from repro.core.rule import Rule, RuleSet
+from repro.serve.transport import apply_shard_ops
 
-from ..conftest import boundary_headers
+from ..conftest import boundary_headers, ruleset_strategy
+
+U32_MAX = (1 << 32) - 1
 
 
 class TestClassify:
@@ -61,6 +67,88 @@ class TestClassify:
 def _boundary_fields(ruleset: RuleSet) -> list[np.ndarray]:
     """:func:`boundary_headers` as int64 field columns."""
     return [np.array(col, dtype=np.int64) for col in zip(*boundary_headers(ruleset))]
+
+
+@st.composite
+def edge_batch(draw):
+    """A rule set and int64 header rows drawn from its field endpoints,
+    endpoints +-1, 0, 2**32-1 and values outside [0, 2**32)."""
+    ruleset = draw(ruleset_strategy(max_rules=8, prefix_ips=False))
+    pools = []
+    for f in range(5):
+        pool = {0, U32_MAX, -1, 1 << 32, 1 << 40}
+        for rule in ruleset:
+            iv = rule.intervals[f]
+            pool |= {iv.lo, iv.hi, iv.lo - 1, iv.hi + 1}
+        pools.append(sorted(pool))
+    rows = draw(st.lists(
+        st.tuples(*(st.sampled_from(pool) for pool in pools)),
+        min_size=1, max_size=24))
+    return ruleset, rows
+
+
+class TestUint32Oracle:
+    """The uint32 ``(x - lo) <= span`` batch test against the scalar
+    ground truth, on the edges where unsigned wrap-around could lie."""
+
+    @given(edge_batch())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_first_match(self, case):
+        ruleset, rows = case
+        clf = LinearSearchClassifier(ruleset)
+        want = [-1 if r is None else r
+                for r in map(ruleset.first_match, rows)]
+        block = np.array(rows, dtype=np.int64)
+        assert clf.classify_batch(block.T).tolist() == want
+        in_range = [i for i, row in enumerate(rows)
+                    if all(0 <= v <= U32_MAX for v in row)]
+        packed = block[in_range].astype(np.uint32)
+        assert clf.classify_batch(packed.T).tolist() == [want[i]
+                                                         for i in in_range]
+
+    def test_out_of_range_rows_match_nothing(self):
+        clf = LinearSearchClassifier(RuleSet([Rule.any()]))
+        rows = np.array([[0, 0, 0, 0, 0], [-1, 0, 0, 0, 0],
+                         [0, 1 << 32, 0, 0, 0], [U32_MAX] * 5],
+                        dtype=np.int64)
+        assert clf.classify_batch(rows.T).tolist() == [0, -1, -1, -1]
+
+
+class TestLiveEdits:
+    """``insert``/``remove`` keep the batch bounds in step with the rule
+    list, so the linear degradation rung answers batches correctly after
+    shard edits."""
+
+    def test_shard_ops_on_linear_rung(self, small_fw_ruleset):
+        rules = list(small_fw_ruleset)
+        clf = LinearSearchClassifier(RuleSet(rules[:20]))
+        global_map = list(range(20))
+        apply_shard_ops(clf, global_map, [
+            ("insert", 0, rules[30], 0),
+            ("remove", 5, 5),
+            ("insert", 19, rules[-1], 19),
+            ("shift", 3, 1),
+            ("remove", 1, 1),
+        ])
+        assert len(clf.ruleset) == len(global_map) == 20
+        headers = boundary_headers(clf.ruleset)
+        want = [-1 if r is None else r
+                for r in map(clf.ruleset.first_match, headers)]
+        fields = np.array(headers, dtype=np.uint32).T
+        assert clf.classify_batch(fields).tolist() == want
+        assert [clf.classify(h) for h in headers] == [
+            None if w < 0 else w for w in want]
+
+    def test_edit_positions_validated(self, tiny_ruleset):
+        clf = LinearSearchClassifier(RuleSet(list(tiny_ruleset)))
+        with pytest.raises(UpdateError):
+            clf.insert(Rule.any(), len(tiny_ruleset) + 1)
+        with pytest.raises(UpdateError):
+            clf.remove(len(tiny_ruleset))
+        assert clf.remove(0) == tiny_ruleset[0]
+        clf.insert(tiny_ruleset[0], 0)
+        assert clf.ruleset.rules == tiny_ruleset.rules
+        assert clf._lo.shape == clf._span.shape == (5, len(tiny_ruleset))
 
 
 class TestCostModel:

@@ -5,6 +5,7 @@ Process-spawning tests share one module-scoped fabric where possible —
 each fork+build costs real wall time.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.errors import (
@@ -26,6 +27,7 @@ from repro.serve import (
     ShardPlan,
     SupervisionPolicy,
 )
+from repro.serve.transport import pack_rows
 from repro.traffic import matched_trace
 
 POLICY = ServicePolicy(max_in_flight=64, breaker_window=8,
@@ -100,6 +102,21 @@ class TestShardPlan:
             header[plan.dim] = value
             assert plan.route(header) == want
 
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 7])
+    def test_route_rows_matches_route(self, fw_ruleset, num_shards):
+        plan = ShardPlan.build(list(fw_ruleset), num_shards)
+        span = 1 << FIELD_WIDTHS[plan.dim]
+        values = {0, span - 1}
+        for lo, hi in plan.bounds:
+            values |= {lo, max(lo - 1, 0), hi}
+        headers = []
+        for value in sorted(values):
+            header = [7, 8, 9, 10, 6]
+            header[plan.dim] = value
+            headers.append(tuple(header))
+        routed = plan.route_rows(np.array(headers, dtype=np.uint32))
+        assert routed.tolist() == [plan.route(h) for h in headers]
+
     def test_wildcards_replicate_everywhere(self):
         rules = [Rule.any(), Rule.from_prefixes(sip="10.0.0.0/8")]
         plan = ShardPlan.build(rules, 4)
@@ -145,6 +162,90 @@ class TestOracleEquivalence:
         assert all(o["status"] == "served" for o in outcomes)
         for header, outcome in zip(headers, outcomes):
             assert outcome["rule"] == fabric.classify(header)
+
+
+class TestPackedBursts:
+    """Bursts travel as uint32 rows and come back as int32 answers; the
+    caller still sees plain ``int`` rule indices and ``None`` for no
+    match."""
+
+    @pytest.fixture(scope="class")
+    def sparse(self, tmp_path_factory):
+        rules = [Rule.from_prefixes(sip="10.0.0.0/8", proto=6),
+                 Rule.from_prefixes(sip="192.168.0.0/16")]
+        clock = ManualClock()
+        fab = Fabric(rules, tmp_path_factory.mktemp("sparse"), num_shards=2,
+                     policy=POLICY, supervision=SUPERVISION,
+                     clock=clock, charge=clock.advance)
+        yield fab
+        fab.supervisor.stop()
+
+    def test_empty_burst_round_trip(self, sparse):
+        assert sparse.classify_batch([]) == []
+        empty = np.empty((0, 5), dtype=np.uint32)
+        for spec in sparse.specs:
+            answers = sparse.supervisor.request(spec.name, empty)
+            assert answers.dtype == np.int32 and len(answers) == 0
+        assert sparse.counter("requests") == 0
+
+    def test_no_match_comes_back_as_none(self, sparse):
+        headers = [(0x0A000001, 1, 2, 3, 6), (0x0A000001, 1, 2, 3, 17),
+                   (0xC0A80101, 1, 2, 3, 6), (0xFFFFFFFF, 0, 0, 0, 0),
+                   (0, 0, 0, 0, 0)]
+        want = [0, None, 1, None, None]
+        outcomes = sparse.classify_batch(headers)
+        assert [o["rule"] for o in outcomes] == want
+        assert [sparse.classify(h) for h in headers] == want
+        assert sparse.counter("oracle.divergences") == 0
+
+    def test_rule_values_are_plain_ints(self, sparse, fw_headers):
+        outcomes = sparse.classify_batch(fw_headers[:16]
+                                         + [(0x0A000001, 1, 2, 3, 6)])
+        rules = [o["rule"] for o in outcomes]
+        assert all(r is None or type(r) is int for r in rules)
+        assert any(type(r) is int for r in rules)
+        assert type(sparse.classify((0x0A000001, 1, 2, 3, 6))) is int
+
+    def test_queue_full_tail_sheds_in_place(self, sparse):
+        limit = POLICY.max_in_flight
+        headers = [(0xC0A80101 if i % 3 else 0x0A000001, 1, 2, 3, 6)
+                   for i in range(limit + 6)]
+        outcomes = sparse.classify_batch(headers)
+        assert [o["rule"] for o in outcomes[:limit]] == [
+            1 if i % 3 else 0 for i in range(limit)]
+        assert outcomes[limit:] == [{"status": "shed",
+                                     "reason": "queue_full"}] * 6
+        assert sparse._gate.in_flight == 0
+
+    def test_out_of_range_fields_rejected_not_wrapped(self, sparse):
+        for bad in ([(1, 2, 3, 4, -1)], [(1 << 32, 0, 0, 0, 0)],
+                    np.array([[1, 2, 3, 4, -1]]),
+                    [np.array([0, 0, 0, 0, 1 << 32])]):
+            with pytest.raises(OverflowError):
+                pack_rows(bad)
+        with pytest.raises(OverflowError):
+            sparse.classify((0x0A000001, 1, 2, 3, 1 << 32))
+        with pytest.raises(OverflowError):
+            sparse.classify_batch([(0x0A000001, 1, 2, 3, 6),
+                                   np.array([0x0A000001, 1, 2, 3, -1])])
+        assert sparse._gate.in_flight == 0
+
+    def test_down_shard_sheds_its_rows_only(self, sparse):
+        # Last in the class: it leaves shard0 down.
+        victim = sparse.specs[0].name
+        sparse.supervisor.inject_kill(victim)
+        sparse.probe(victim)
+        before = sparse.counter("shed_phase.restarting")
+        outcomes = sparse.classify_batch([(0x0A000001, 1, 2, 3, 6),
+                                          (0xC0A80101, 1, 2, 3, 6),
+                                          (0x0A000002, 1, 2, 3, 6)])
+        shed = {"status": "shed", "reason": "shard_down", "shard": victim,
+                "phase": "restarting"}
+        assert outcomes == [shed, {"status": "served", "rule": 1}, shed]
+        assert sparse.counter("shed_phase.restarting") == before + 2
+        with pytest.raises(ShardUnavailable) as exc:
+            sparse.classify((0x0A000001, 1, 2, 3, 6))
+        assert exc.value.phase == "restarting"
 
 
 # -- failure behaviour ---------------------------------------------------------
