@@ -68,8 +68,19 @@ class HabsArray:
         return self.cpa[(i << self.u) + j]
 
     def decompress(self) -> list[int]:
-        """The full logical pointer array (inverse of :func:`compress`)."""
-        return [self.lookup(n) for n in range(self.total_slots)]
+        """The full logical pointer array (inverse of :func:`compress`).
+
+        One pass over the HABS bits: a set bit starts the next retained
+        CPA sub-array, a clear bit repeats the current one.
+        """
+        sub_len = 1 << self.u
+        out: list[int] = []
+        start = -sub_len
+        for m in range(1 << self.v):
+            if self.habs >> m & 1:
+                start += sub_len
+            out.extend(self.cpa[start:start + sub_len])
+        return out
 
     @property
     def compressed_slots(self) -> int:

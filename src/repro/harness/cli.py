@@ -11,6 +11,7 @@ import difflib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from ..core.errors import ReproError
@@ -156,11 +157,13 @@ def _main(argv: list[str] | None = None) -> int:
             result = run_profile(quick=args.quick, algorithms=algorithms,
                                  ruleset=args.ruleset, out_dir=args.out)
         elif name == "perf-report" and args.out != "results":
-            from .perf_report import run_perf_report
+            from .soak import PERF_REPORT, run_soak
 
-            result = run_perf_report(quick=args.quick, out_dir=args.out)
+            result = run_soak(replace(PERF_REPORT, out_dir=args.out),
+                              quick=args.quick)
         elif args.scenario is not None:
             from ..traffic.scenarios import SCENARIOS
+            from .soak import SPECS, run_soak
 
             if name not in ("serve-soak", "chaos-soak"):
                 print(f"--scenario is only honoured by serve-soak and "
@@ -170,16 +173,8 @@ def _main(argv: list[str] | None = None) -> int:
                 print(_unknown(args.scenario, SCENARIOS, "scenario"),
                       file=sys.stderr)
                 return 2
-            if name == "serve-soak":
-                from .serve_soak import run_serve_soak
-
-                result = run_serve_soak(quick=args.quick,
-                                        scenario=args.scenario)
-            else:
-                from .chaos_soak import run_chaos_soak
-
-                result = run_chaos_soak(quick=args.quick,
-                                        scenario=args.scenario)
+            result = run_soak(SPECS[name], quick=args.quick,
+                              scenario=args.scenario)
         else:
             result = run_experiment(name, quick=args.quick)
         print(result.text)

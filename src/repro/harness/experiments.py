@@ -1,6 +1,7 @@
 """Experiment registry: one entry per table/figure of the paper.
 
-Each experiment module exposes ``run(quick=False) -> ExperimentResult``;
+Each experiment module exposes ``run(quick=False) -> ExperimentResult``,
+except :mod:`repro.harness.soak`, whose ``SPECS`` hold the soaks by id;
 ``quick`` trades packet counts and sweep density for speed (used by the
 pytest benchmarks' shape assertions, while the full settings regenerate
 the EXPERIMENTS.md numbers).
@@ -49,25 +50,25 @@ REGISTRY: dict[str, tuple[str, str]] = {
              "Figure 9: ExpCuts vs HiCuts vs HSM on all rule sets"),
     "resilience": ("repro.harness.resilience",
                    "Resilience: throughput under injected SRAM channel loss"),
-    "serve-soak": ("repro.harness.serve_soak",
+    "serve-soak": ("repro.harness.soak",
                    "Serve-soak: the serving layer under bursty overload, "
                    "faults and live updates (writes BENCH_serve_soak.json)"),
-    "chaos-soak": ("repro.harness.chaos_soak",
+    "chaos-soak": ("repro.harness.soak",
                    "Chaos-soak: the multi-process fabric under worker "
                    "kills, hangs and snapshot corruption "
                    "(writes BENCH_chaos_soak.json)"),
-    "adversarial-soak": ("repro.harness.adversarial_soak",
+    "adversarial-soak": ("repro.harness.soak",
                          "Adversarial-soak: stateful & adversarial traffic "
                          "scenarios vs the guarded serving stack "
                          "(writes BENCH_adversarial_soak.json)"),
-    "update-storm": ("repro.harness.update_storm",
+    "update-storm": ("repro.harness.soak",
                      "Update-storm: the fabric under >=1000 live rule "
                      "updates/s with epoch-consistent propagation and "
                      "update-path faults (writes BENCH_update_storm.json)"),
     "profile": ("repro.harness.profile",
                 "Profile: lookup depth/access histograms, hot nodes and "
                 "DES timeline export (writes results/profile_*.json)"),
-    "perf-report": ("repro.harness.perf_report",
+    "perf-report": ("repro.harness.soak",
                     "Perf-report: pipeline stage attribution, log-bucketed "
                     "latency histograms and SLO burn rates "
                     "(writes results/perf_report_*.json|.prom and "
@@ -84,6 +85,9 @@ def run_experiment(name: str, quick: bool = False) -> ExperimentResult:
             f"unknown experiment {name!r}; choose from {sorted(REGISTRY)}"
         ) from None
     module = importlib.import_module(module_name)
+    specs = getattr(module, "SPECS", {})
+    if name in specs:
+        return module.run_soak(specs[name], quick=quick)
     runner = getattr(module, f"run_{name}", None) or getattr(module, "run")
     return runner(quick=quick)
 

@@ -1,23 +1,24 @@
-"""The adversarial-soak experiment: quick-run invariants, BENCH gating,
-and the scenario threading through the serve/chaos soak drivers."""
+"""The adversarial-soak experiment: quick-run invariants, and the
+scenario threading through the serve/chaos soaks."""
 
 import pytest
 
-from repro.harness import adversarial_soak, serve_soak
+from repro.harness import soak
 from repro.harness.cli import main
+from repro.harness.soak import ADVERSARIAL_SOAK, SERVE_SOAK, run_soak
 from repro.traffic.scenarios import SCENARIOS
 
 
 @pytest.fixture(scope="module")
 def quick_result():
-    return adversarial_soak.run_adversarial_soak(quick=True)
+    return run_soak(ADVERSARIAL_SOAK, quick=True)
 
 
 class TestQuickRun:
     def test_all_phases_ran(self, quick_result):
         phases = quick_result.data["extra"]["phases"]
-        assert set(phases) == set(adversarial_soak.PHASES)
-        assert set(adversarial_soak.PHASES) <= set(SCENARIOS)
+        assert set(phases) == set(soak.PHASES)
+        assert set(soak.PHASES) <= set(SCENARIOS)
 
     def test_zero_divergences_everywhere(self, quick_result):
         for name, phase in quick_result.data["extra"]["phases"].items():
@@ -27,12 +28,12 @@ class TestQuickRun:
     def test_flood_shed_floor(self, quick_result):
         metrics = quick_result.data["metrics"]
         assert metrics["attack_shed_fraction"] >= \
-            adversarial_soak.MIN_ATTACK_SHED
+            soak.MIN_ATTACK_SHED
 
     def test_legit_goodput_floor(self, quick_result):
         metrics = quick_result.data["metrics"]
         assert metrics["legit_goodput_ratio"] >= \
-            adversarial_soak.MIN_LEGIT_GOODPUT_RATIO
+            soak.MIN_LEGIT_GOODPUT_RATIO
         assert metrics["legit_goodput_kpps"] > 0
 
     def test_cache_collapse_attributed(self, quick_result):
@@ -41,7 +42,7 @@ class TestQuickRun:
         extra = quick_result.data["extra"]
         assert extra["scan_hit_rate"] < 0.05
         assert extra["best_legit_hit_rate"] > \
-            extra["scan_hit_rate"] + adversarial_soak.MIN_CLASS_HIT_GAP
+            extra["scan_hit_rate"] + soak.MIN_CLASS_HIT_GAP
         cache = extra["phases"]["cache-bust"]["flow_cache"]
         assert "scan" in cache and "overall" in cache
 
@@ -66,23 +67,14 @@ class TestQuickRun:
         assert depth["attack"]["max_depth"] >= depth["legit"]["mean_depth"]
 
     def test_deterministic(self, quick_result):
-        again = adversarial_soak.run_adversarial_soak(quick=True)
+        again = run_soak(ADVERSARIAL_SOAK, quick=True)
         assert again.data["metrics"] == quick_result.data["metrics"]
         assert again.data["extra"] == quick_result.data["extra"]
 
 
-class TestBenchGating:
-    def test_quick_mode_writes_no_bench_record(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(adversarial_soak, "write_bench_record",
-                            lambda *a, **k: calls.append((a, k)))
-        adversarial_soak.run_adversarial_soak(quick=True)
-        assert calls == []
-
-
 class TestScenarioThreading:
     def test_serve_soak_accepts_scenario(self):
-        result = serve_soak.run_serve_soak(quick=True, scenario="syn-flood")
+        result = run_soak(SERVE_SOAK, quick=True, scenario="syn-flood")
         extra = result.data["extra"]
         assert extra["scenario"] == "syn-flood"
         assert extra["guard"]["engagements"] > 0
@@ -90,8 +82,8 @@ class TestScenarioThreading:
         assert sum(extra["guard_shed_reasons"].values()) > 0
 
     def test_serve_soak_scenario_differs_from_plain(self):
-        plain = serve_soak.run_serve_soak(quick=True)
-        attacked = serve_soak.run_serve_soak(quick=True, scenario="syn-flood")
+        plain = run_soak(SERVE_SOAK, quick=True)
+        attacked = run_soak(SERVE_SOAK, quick=True, scenario="syn-flood")
         assert "scenario" not in plain.data["extra"]
         assert plain.data["extra"]["served"] != \
             attacked.data["extra"]["served"]

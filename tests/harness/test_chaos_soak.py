@@ -1,25 +1,25 @@
 """Chaos-soak experiment: bit-reproducibility and acceptance shape.
 
 The full acceptance criteria (kills survived, zero divergences, bounded
-goodput loss) are asserted *inside* run_chaos_soak — a quick run that
+goodput loss) are asserted *inside* run_soak — a quick run that
 returns at all has already passed them.  Here we pin determinism: two
 runs of the same seeded soak must produce byte-identical results.
 """
 
 import json
 
-from repro.harness.chaos_soak import run_chaos_soak
+from repro.harness.soak import CHAOS_SOAK, run_soak
 
 
 class TestChaosSoakQuick:
     def test_two_runs_bit_identical(self):
-        first = run_chaos_soak(quick=True)
-        second = run_chaos_soak(quick=True)
+        first = run_soak(CHAOS_SOAK, quick=True)
+        second = run_soak(CHAOS_SOAK, quick=True)
         assert json.dumps(first.data, sort_keys=True) == \
             json.dumps(second.data, sort_keys=True)
 
     def test_result_shape_and_acceptance_evidence(self):
-        result = run_chaos_soak(quick=True)
+        result = run_soak(CHAOS_SOAK, quick=True)
         assert result.experiment == "chaos-soak"
         data = result.data
         extra = data["extra"]

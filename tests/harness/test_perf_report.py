@@ -1,16 +1,17 @@
 """The perf-report experiment: artifacts, attribution, reproducibility."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.harness import perf_report
+from repro.harness.soak import PERF_REPORT, run_soak
 
 
 @pytest.fixture(scope="module")
 def quick_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("perf_report")
-    return out, perf_report.run_perf_report(quick=True, out_dir=out)
+    return out, run_soak(replace(PERF_REPORT, out_dir=str(out)), quick=True)
 
 
 class TestQuickRun:
@@ -49,7 +50,7 @@ class TestQuickRun:
 
     def test_artifacts_bit_reproducible(self, quick_result, tmp_path):
         out, _ = quick_result
-        perf_report.run_perf_report(quick=True, out_dir=tmp_path)
+        run_soak(replace(PERF_REPORT, out_dir=str(tmp_path)), quick=True)
         for name in ("perf_report_FW01.json", "perf_report_FW01.prom"):
             assert (tmp_path / name).read_bytes() == \
                 (out / name).read_bytes(), name
@@ -61,11 +62,3 @@ class TestQuickRun:
         assert extra["slo_compliant"] == extra["slo_total"]
         assert extra["slo_windows"] > 0
 
-
-class TestBenchGating:
-    def test_quick_mode_writes_no_bench_record(self, monkeypatch, tmp_path):
-        calls = []
-        monkeypatch.setattr(perf_report, "write_bench_record",
-                            lambda *a, **k: calls.append((a, k)))
-        perf_report.run_perf_report(quick=True, out_dir=tmp_path)
-        assert calls == []

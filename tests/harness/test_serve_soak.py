@@ -1,13 +1,13 @@
-"""The serve-soak experiment: invariants of the quick run, BENCH gating."""
+"""The serve-soak experiment: invariants of the quick run."""
 
 import pytest
 
-from repro.harness import serve_soak
+from repro.harness.soak import SERVE_SOAK, run_soak
 
 
 @pytest.fixture(scope="module")
 def quick_result():
-    return serve_soak.run_serve_soak(quick=True)
+    return run_soak(SERVE_SOAK, quick=True)
 
 
 class TestQuickRun:
@@ -34,7 +34,7 @@ class TestQuickRun:
 
     def test_latency_within_deadline(self, quick_result):
         extra = quick_result.data["extra"]
-        deadline_us = serve_soak.POLICY.default_deadline_s * 1e6
+        deadline_us = SERVE_SOAK.policy.default_deadline_s * 1e6
         assert 0 < extra["latency_us_p50"] <= deadline_us
         assert extra["latency_us_p50"] <= extra["latency_us_p99"] <= deadline_us
 
@@ -42,15 +42,7 @@ class TestQuickRun:
         assert quick_result.data["extra"]["drained"] is True
 
     def test_deterministic(self, quick_result):
-        again = serve_soak.run_serve_soak(quick=True)
+        again = run_soak(SERVE_SOAK, quick=True)
         assert again.data["metrics"] == quick_result.data["metrics"]
         assert again.data["extra"] == quick_result.data["extra"]
 
-
-class TestBenchGating:
-    def test_quick_mode_writes_no_bench_record(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(serve_soak, "write_bench_record",
-                            lambda *a, **k: calls.append((a, k)))
-        serve_soak.run_serve_soak(quick=True)
-        assert calls == []

@@ -2,7 +2,7 @@
 
 The acceptance criteria proper (zero settled-epoch divergences, the
 update rate floor, the epoch-lag SLO, faults survived, backlog drained)
-are asserted *inside* run_update_storm — a quick run that returns at
+are asserted *inside* run_soak — a quick run that returns at
 all has already passed them.  Here we pin determinism (two runs of the
 same seeded storm must be byte-identical) and that the published
 evidence actually records the storm the fault plan promised.
@@ -10,18 +10,18 @@ evidence actually records the storm the fault plan promised.
 
 import json
 
-from repro.harness.update_storm import run_update_storm
+from repro.harness.soak import UPDATE_STORM, run_soak
 
 
 class TestUpdateStormQuick:
     def test_two_runs_bit_identical(self):
-        first = run_update_storm(quick=True)
-        second = run_update_storm(quick=True)
+        first = run_soak(UPDATE_STORM, quick=True)
+        second = run_soak(UPDATE_STORM, quick=True)
         assert json.dumps(first.data, sort_keys=True) == \
             json.dumps(second.data, sort_keys=True)
 
     def test_result_shape_and_acceptance_evidence(self):
-        result = run_update_storm(quick=True)
+        result = run_soak(UPDATE_STORM, quick=True)
         assert result.experiment == "update-storm"
         data = result.data
         extra = data["extra"]

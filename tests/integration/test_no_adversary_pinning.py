@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.harness import chaos_soak, serve_soak
+from repro.harness.soak import CHAOS_SOAK, SERVE_SOAK, run_soak
 from repro.npsim.flowcache import FlowCache, simulate_hit_rate
 from repro.traffic import build_scenario, matched_trace, uniform_trace
 
@@ -65,15 +65,15 @@ class TestSoaksUnperturbed:
     def test_serve_soak_identical_around_scenario_run(self):
         """plain -> scenario -> plain: the two plain runs must match
         bit-for-bit, proving scenario=None is the untouched code path."""
-        first = serve_soak.run_serve_soak(quick=True)
-        serve_soak.run_serve_soak(quick=True, scenario="mixed")
-        third = serve_soak.run_serve_soak(quick=True)
+        first = run_soak(SERVE_SOAK, quick=True)
+        run_soak(SERVE_SOAK, quick=True, scenario="mixed")
+        third = run_soak(SERVE_SOAK, quick=True)
         assert first.data["metrics"] == third.data["metrics"]
         assert first.data["extra"] == third.data["extra"]
         assert "scenario" not in first.data["extra"]
 
     def test_chaos_soak_plain_has_no_scenario_keys(self):
-        result = chaos_soak.run_chaos_soak(quick=True)
+        result = run_soak(CHAOS_SOAK, quick=True)
         assert "scenario" not in result.data["extra"]
         assert "guard" not in result.data["extra"]
 
