@@ -5,7 +5,9 @@ the tree-IR walk against the linear-search oracle):
 
 * :meth:`ExpCutsEngine.classify` — the scalar walk a microengine thread
   performs: read the node header word, one ``POP_COUNT``, read one pointer
-  word, descend.
+  word, descend.  In software it runs over a derived *bypass image*
+  (:func:`bypass_image`) that skips nodes whose every slot leads to the
+  same child, so it reads fewer nodes than the modelled walk charges.
 * :meth:`ExpCutsEngine.classify_batch` — NumPy level-synchronous traversal
   of whole packet arrays (flat contiguous ``uint32`` gathers, no per-packet
   Python), per the HPC guide idioms.
@@ -16,6 +18,8 @@ the tree-IR walk against the linear-search oracle):
 
 from __future__ import annotations
 
+import hashlib
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,16 +80,169 @@ class LookupTrace:
         return sum(r.compute_before for r in self.reads) + self.compute_after
 
 
+#: Pointer words resolved per NumPy call while deriving the bypass image,
+#: which bounds the derivation's per-level temporaries.
+_CHUNK = 1 << 15
+
+
+def _node_words(seg: np.ndarray, nodes: np.ndarray,
+                aggregated: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Locate the pointer words of the nodes at ``nodes`` (ascending).
+
+    Returns a mask over ``seg`` of those words, which skips headers and
+    any unreachable (garbage) node between them, and each node's pointer
+    count.
+    """
+    hw = seg[nodes]
+    u = (hw >> np.uint32(20)) & np.uint32(0xF)
+    subs = popcount_u16(hw) if aggregated else np.ones(len(nodes), np.int64)
+    counts = subs << u
+    mark = np.zeros(len(seg) + 1, dtype=np.int8)
+    mark[nodes] = 1
+    mark[nodes + 1 + counts] -= 1
+    inside = np.cumsum(mark[:-1], dtype=np.int8).astype(bool)
+    inside[nodes] = False
+    return inside, counts
+
+
+def _reached(seg: np.ndarray, inside: np.ndarray, size: int) -> np.ndarray:
+    """Ascending offsets, in the ``size``-word level below, of the nodes
+    that the pointer words ``seg[inside]`` point at."""
+    reached = np.zeros(size, dtype=bool)
+    for lo in range(0, len(seg), _CHUNK):
+        ptrs = seg[lo:lo + _CHUNK][inside[lo:lo + _CHUNK]]
+        reached[ptrs[ptrs < LEAF_FLAG]] = True
+    return np.flatnonzero(reached)
+
+
+def _resolve(ptrs: np.ndarray, resolved: np.ndarray) -> None:
+    """Rewrite the internal pointers in ``ptrs`` through ``resolved``."""
+    for lo in range(0, len(ptrs), _CHUNK):
+        chunk = ptrs[lo:lo + _CHUNK]
+        inner = chunk < LEAF_FLAG
+        chunk[inner] = resolved[chunk[inner]]
+
+
+def _compact(ptrs: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``ptrs[keep]``, packed into the front of ``ptrs`` without a copy."""
+    kept = 0
+    for lo in range(0, len(ptrs), _CHUNK):
+        part = ptrs[lo:lo + _CHUNK][keep[lo:lo + _CHUNK]]
+        ptrs[kept:kept + len(part)] = part
+        kept += len(part)
+    return ptrs[:kept]
+
+
+def bypass_image(image: TreeImage) -> tuple[np.ndarray, int]:
+    """Derive the scalar walk's flat image: ``(words, root_ptr)``.
+
+    A *one-child* node is one whose every pointer is the same word — one
+    HABS bit set and every CPA entry equal.  Reading it decides nothing,
+    so the bypass image keeps every other reachable node, in the packed
+    word format, and points each pointer at the node or leaf its chain of
+    one-child nodes ends at.  Pointers are offsets into the one flat
+    array; the level tag (bits 31..24) tells the walk which key to cut.
+    An unaggregated node is re-encoded as one HABS bit with ``u = w``, so
+    both image variants share one walk.
+
+    This is derived state for the software walk only: the traced walk,
+    the batch walk and :mod:`repro.npsim` read the real per-level image,
+    which still charges every level.  Besides the output, the derivation
+    holds at most one level's pointers and one dense ``uint32`` offset map
+    at a time; everything else is byte masks, per-node arrays or chunks
+    of :data:`_CHUNK` words.
+    """
+    levels, root = image.levels, image.root_ptr
+    if root & _LEAF:
+        return np.zeros(0, dtype=np.uint32), root
+    # Top-down: the reachable node offsets of each level.
+    starts = [np.array([root], dtype=np.int64)]
+    for seg, below in zip(levels, levels[1:]):
+        inside, _ = _node_words(seg, starts[-1], image.aggregated)
+        starts.append(_reached(seg, inside, len(below)))
+    # Bottom-up: resolve each level's pointers through the level below,
+    # then lay out its branching nodes after those already placed.  A
+    # kept node keeps its size, so the real image bounds the output.
+    words = np.empty(image.total_words, dtype=np.uint32)
+    placed = 0
+    resolved = np.zeros(0, dtype=np.uint32)  # level offset -> new pointer
+    for seg, nodes in zip(reversed(levels), reversed(starts)):
+        if not len(nodes):
+            resolved = np.zeros(0, dtype=np.uint32)
+            continue
+        inside, counts = _node_words(seg, nodes, image.aggregated)
+        ptrs = seg[inside]
+        del inside
+        _resolve(ptrs, resolved)
+        del resolved
+        first = np.cumsum(counts) - counts
+        lowest = np.minimum.reduceat(ptrs, first)
+        branching = lowest != np.maximum.reduceat(ptrs, first)
+        sizes = 1 + counts[branching]
+        at = np.cumsum(sizes) - sizes
+        is_header = np.zeros(int(sizes.sum()), dtype=bool)
+        is_header[at] = True
+        headers = seg[nodes[branching]]
+        if not image.aggregated:
+            headers = (headers & np.uint32(0xFFF0_0000)) | np.uint32(1)
+        end = placed + len(is_header)
+        words[placed:end][is_header] = headers
+        words[placed:end][~is_header] = _compact(
+            ptrs, np.repeat(branching, counts))
+        del ptrs
+        resolved = np.zeros(len(seg), dtype=np.uint32)
+        resolved[nodes] = lowest
+        resolved[nodes[branching]] = placed + at
+        placed = end
+    # Shrink in place rather than copy the kept words.  No view of
+    # ``words`` outlives its statement above, so skipping numpy's
+    # reference check (which a tracer's frame snapshot would trip) is safe.
+    words.resize(placed, refcheck=False)
+    return words, int(resolved[root])
+
+
+class _Bypass:
+    """A derived bypass image: its words as a zero-copy ``memoryview``
+    (a read yields a plain ``int`` without boxing a numpy scalar) and its
+    root pointer."""
+
+    __slots__ = ("words", "root", "__weakref__")
+
+    def __init__(self, words: np.ndarray, root: int) -> None:
+        self.words = memoryview(words).cast("B").cast("I")
+        self.root = root
+
+
+#: Bypass images by a digest of the packed image they were derived from,
+#: so engines over equal images (a service's primary and standby, a shard
+#: base rebuilt from the same rules) share one copy.  An entry lives as
+#: long as some engine holds it.
+_SHARED_BYPASS: weakref.WeakValueDictionary[bytes, _Bypass] = (
+    weakref.WeakValueDictionary())
+
+
+def _image_digest(image: TreeImage) -> bytes:
+    """SHA-256 of a packed image's layout and words."""
+    digest = hashlib.sha256(repr(
+        (image.root_ptr, image.aggregated, image.level_words())).encode())
+    for seg in image.levels:
+        digest.update(np.ascontiguousarray(seg, dtype=np.uint32))
+    return digest.digest()
+
+
 class ExpCutsEngine:
     """Classify packets against a packed :class:`TreeImage`.
 
-    The scalar walk runs off a per-level *plan*: one
-    ``(words, field, shift, mask)`` tuple per level, where ``words`` is a
-    zero-copy ``memoryview`` over that level's ``uint32`` segment, so a
-    read yields a plain ``int`` without boxing a numpy scalar.  The plan is
-    derived state: it is rebuilt whenever ``image`` or ``schedule`` is
-    assigned, and it is never pickled (memoryviews cannot be, and the
-    payload stays exactly ``image``, ``schedule`` and ``use_pop_count``).
+    The scalar walk runs off two pieces of derived state, neither of them
+    pickled (the payload stays exactly ``image``, ``schedule`` and
+    ``use_pop_count``):
+
+    * ``_bypass`` — the :func:`bypass_image`, derived on the first scalar
+      lookup, shared with every engine over an equal image, and dropped
+      when ``image`` is assigned.  An engine read only by the batch walk,
+      the traced walks or npsim never holds one.
+    * ``_keys`` — one ``(field, shift, mask)`` per level of ``schedule``,
+      rebuilt when ``schedule`` is assigned.
     """
 
     schedule: list[CutStep]
@@ -97,8 +254,23 @@ class ExpCutsEngine:
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
-        if name in ("image", "schedule") and hasattr(self, "schedule"):
-            object.__setattr__(self, "_plan", self._build_plan())
+        if name == "image":
+            self.__dict__.pop("_bypass", None)
+        elif name == "schedule":
+            object.__setattr__(self, "_keys", tuple(
+                (int(step.field), step.shift, (1 << step.width) - 1)
+                for step in value))
+
+    def __getattr__(self, name: str):
+        # Reached only while ``_bypass`` is not derived yet.
+        if name != "_bypass":
+            raise AttributeError(name)
+        key = _image_digest(self.image)
+        bypass = _SHARED_BYPASS.get(key)
+        if bypass is None:
+            bypass = _SHARED_BYPASS[key] = _Bypass(*bypass_image(self.image))
+        object.__setattr__(self, "_bypass", bypass)
+        return bypass
 
     def __getstate__(self) -> dict:
         return {name: self.__dict__[name]
@@ -108,41 +280,34 @@ class ExpCutsEngine:
         for name, value in state.items():
             setattr(self, name, value)
 
-    def _build_plan(self) -> tuple[tuple[memoryview, int, int, int], ...]:
-        """One ``(words, field, shift, mask)`` per level of the schedule."""
-        return tuple(
-            (memoryview(seg).cast("B").cast("I"),
-             int(step.field), step.shift, (1 << step.width) - 1)
-            for seg, step in zip(self.image.levels, self.schedule)
-        )
-
     # -- scalar ---------------------------------------------------------
 
     def classify(self, header: Sequence[int]) -> int | None:
         """Return the matched rule id (or ``None``) for one header.
 
-        Per level: read the node header word, count the HABS bits below
-        the key's sub-array (one ``POP_COUNT``), read the pointer word.
+        Per node of the bypass image: read the header word, cut the key
+        its level tag names, count the HABS bits below the key's
+        sub-array (one ``POP_COUNT``), read the pointer word.
         ``use_pop_count`` only changes the modelled cycle cost, so both
         settings take this walk.
         """
-        ptr = self.image.root_ptr
+        bypass = self._bypass
+        words, ptr = bypass.words, bypass.root
         if ptr & _LEAF:
             return decode_leaf(ptr)
-        if self.image.aggregated:
-            for words, field, shift, mask in self._plan:
-                hw = words[ptr]
-                key = (header[field] >> shift) & mask
-                u = (hw >> 20) & 0xF
-                pop = (hw & 0xFFFF & ((2 << (key >> u)) - 1)).bit_count()
-                ptr = words[ptr + ((pop - 1) << u) + (key & ((1 << u) - 1)) + 1]
-                if ptr & _LEAF:
-                    return decode_leaf(ptr)
-        else:
-            for words, field, shift, mask in self._plan:
-                ptr = words[ptr + 1 + ((header[field] >> shift) & mask)]
-                if ptr & _LEAF:
-                    return decode_leaf(ptr)
+        keys = self._keys
+        for _ in keys:
+            hw = words[ptr]
+            try:
+                field, shift, mask = keys[hw >> 24]
+            except IndexError:
+                break  # a node tagged deeper than the schedule reaches
+            key = (header[field] >> shift) & mask
+            u = (hw >> 20) & 0xF
+            pop = (hw & 0xFFFF & ((2 << (key >> u)) - 1)).bit_count()
+            ptr = words[ptr + ((pop - 1) << u) + (key & ((1 << u) - 1)) + 1]
+            if ptr & _LEAF:
+                return decode_leaf(ptr)
         # Watchdog: only a corrupted image can get here — the packed tree
         # is at most ``len(schedule)`` levels deep.
         raise DepthBoundExceededError(

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import select
 import signal
 import time
 from dataclasses import dataclass
@@ -137,6 +138,8 @@ class WorkerHandle:
         self.state = STOPPED
         self.process = None
         self.conn = None
+        #: ``select.poll`` over ``conn``, registered once per spawn.
+        self.poller = None
         self.starts = 0
         self.consecutive_deaths = 0
         self.last_heartbeat_at = float("-inf")
@@ -266,6 +269,7 @@ class Supervisor:
             except OSError:
                 pass
             handle.conn = None
+            handle.poller = None
 
     # -- spawning ----------------------------------------------------------
 
@@ -284,6 +288,8 @@ class Supervisor:
         child.close()  # the worker owns this end now; EOF must propagate
         handle.process = process
         handle.conn = parent
+        handle.poller = select.poll()
+        handle.poller.register(parent.fileno(), select.POLLIN)
         handle.starts += 1
         self._scope.counter("spawns").inc()
         ready = self._await(handle, ("ready",), self.policy.ready_timeout_s)
@@ -411,17 +417,20 @@ class Supervisor:
         Stale messages of other kinds (a pong that arrived after its
         probe was already counted as a miss) are drained and dropped.
         Returns ``None`` on timeout; on EOF the death is recorded and
-        ``None`` returned.
+        ``None`` returned.  The wait is the handle's own ``select.poll``,
+        registered at spawn: ``Connection.poll`` would build a new
+        selector on every call.  A closed peer reads as ready (``POLLHUP``)
+        and ``recv`` then raises ``EOFError``.
         """
         wall = time.monotonic
         deadline = wall() + timeout_s
-        conn = handle.conn
+        conn, poller = handle.conn, handle.poller
         while conn is not None:
             remaining = deadline - wall()
             if remaining <= 0:
                 return None
             try:
-                if not conn.poll(remaining):
+                if not poller.poll(remaining * 1000.0):
                     return None
                 message = conn.recv()
             except (EOFError, OSError):

@@ -1,6 +1,10 @@
 """Lookup-engine tests: scalar, batch and trace paths must all agree."""
 
+import hashlib
 import pickle
+import statistics
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +12,20 @@ from hypothesis import given, settings
 
 from repro.classifiers.expcuts import ExpCutsClassifier
 from repro.core.engine import ExpCutsEngine
-from repro.core.expcuts import ExpCutsConfig, build_expcuts
-from repro.core.layout import pack_tree
+from repro.core.errors import DepthBoundExceededError
+from repro.core.expcuts import (
+    REF_NO_MATCH,
+    ExpCutsConfig,
+    ExpCutsTree,
+    InternalNode,
+    build_expcuts,
+    leaf_ref,
+)
+from repro.core.habs import compress
+from repro.core.layout import LEAF_FLAG, pack_tree
 from repro.core.rule import Rule, RuleSet
+from repro.rulesets import paper_ruleset
+from repro.traffic import matched_trace
 
 from ..conftest import boundary_headers, header_strategy, ruleset_strategy
 
@@ -79,8 +94,8 @@ class TestScalarWalkEquivalence:
     @pytest.mark.parametrize("aggregated", [True, False])
     def test_pickle_round_trip(self, small_cr_ruleset, aggregated):
         clf = ExpCutsClassifier.build(small_cr_ruleset, aggregated=aggregated)
-        # The per-level memoryview plan is derived state: never pickled
-        # (it could not be), rebuilt on load.
+        # The bypass image and the key table are derived state: never
+        # pickled (a memoryview could not be), rebuilt after load.
         assert set(clf.engine.__getstate__()) == {
             "image", "schedule", "use_pop_count"}
         loaded = pickle.loads(pickle.dumps(clf))
@@ -95,6 +110,9 @@ class TestScalarWalkEquivalence:
         # The new rule outranks every existing one.
         assert clf.insert_rule(new_id, lambda existing: True)
         clf._ensure_image()
+        # The edit leaves unreachable nodes in the repacked image; the
+        # scalar walk's bypass image is derived from the reachable ones.
+        assert clf.tree.build_stats["garbage_words"] > 0
         oracle = RuleSet([ruleset[new_id]] + list(ruleset)[:new_id])
 
         def expected(header):
@@ -104,6 +122,206 @@ class TestScalarWalkEquivalence:
             return new_id if first == 0 else first - 1
 
         self._assert_all_paths_agree(clf, ruleset, expected)
+
+
+class _CountingWords:
+    """Stands in for the bypass image's word view, counting reads."""
+
+    def __init__(self, words):
+        self.words, self.reads = words, 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.words[index]
+
+
+def _bypass_nodes(engine):
+    """``(offset, header word, pointers)`` of every bypass-image node."""
+    words = engine._bypass.words
+    nodes, pos = [], 0
+    while pos < len(words):
+        hw = words[pos]
+        count = (hw & 0xFFFF).bit_count() << ((hw >> 20) & 0xF)
+        nodes.append((pos, hw, words[pos + 1:pos + 1 + count].tolist()))
+        pos += 1 + count
+    assert pos == len(words)
+    return nodes
+
+
+def _nodes_visited(engine, header):
+    """Nodes the scalar walk reads for ``header`` (two words each)."""
+    bypass = engine._bypass
+    words = _CountingWords(bypass.words)
+    engine._bypass = SimpleNamespace(words=words, root=bypass.root)
+    try:
+        engine.classify(header)
+        return words.reads // 2
+    finally:
+        engine._bypass = bypass
+
+
+def _hand_tree(nodes, root_ref=0):
+    """An ExpCuts tree made of ``(level, 256 child refs)`` nodes."""
+    schedule = build_expcuts(RuleSet([Rule.any()])).schedule
+    return ExpCutsTree(
+        stride=8, habs_bits_log2=4, schedule=schedule,
+        nodes=[InternalNode(level, compress(refs, 4)) for level, refs in nodes],
+        root_ref=root_ref, num_rules=2)
+
+
+class TestBypassImage:
+    """The scalar walk's derived image skips one-child nodes and still
+    gives every other path's answer."""
+
+    @pytest.mark.parametrize("aggregated", [True, False])
+    def test_one_child_root(self, aggregated):
+        # Only dport is constrained, so the four sip and four dip levels
+        # (and both sport levels) cut nothing: the root is one-child.
+        ruleset = RuleSet([Rule.from_prefixes(dport=(80, 80), proto=6),
+                           Rule.from_prefixes(dport=(1000, 2000)),
+                           Rule.any()])
+        clf = ExpCutsClassifier.build(ruleset, aggregated=aggregated)
+        root = clf.tree.nodes[clf.tree.root_ref]
+        assert len(set(root.children.cpa)) == 1
+        bypass = clf.engine._bypass
+        assert bypass.words[bypass.root] >> 24 == 10  # the first dport level
+        TestScalarWalkEquivalence._assert_all_paths_agree(clf, ruleset)
+        # Both dport levels, then proto: the ten levels above are skipped.
+        assert _nodes_visited(clf.engine, (1, 2, 3, 80, 6)) == 3
+
+    @pytest.mark.parametrize("aggregated", [True, False])
+    def test_one_child_chain_ends_in_leaf_and_no_match(self, aggregated):
+        # Root: sip high byte < 128 -> node 1 -> node 2 -> rule 0; the
+        # upper half is a no-match leaf.  Nodes 1 and 2 are one-child.
+        tree = _hand_tree([
+            (0, [1] * 128 + [REF_NO_MATCH] * 128),
+            (1, [2] * 256),
+            (2, [leaf_ref(0)] * 256),
+        ])
+        engine = ExpCutsEngine(pack_tree(tree, aggregated=aggregated))
+        words = engine._bypass.words
+        assert len(words) == 1 + (256 if not aggregated else 2 * 16)
+        assert set(words[1:].tolist()) == {int(LEAF_FLAG) | 1, int(LEAF_FLAG)}
+        for sip, want in ((0, 0), (0x7FFF_FFFF, 0), (0x8000_0000, None),
+                          (0xFFFF_FFFF, None)):
+            header = (sip, 0, 0, 0, 0)
+            assert engine.classify(header) == tree.classify(header) == want
+            assert engine.access_trace(header).result == want
+            assert _nodes_visited(engine, header) == 1
+
+    def test_one_child_root_chain_to_leaf(self):
+        tree = _hand_tree([(0, [1] * 256), (1, [leaf_ref(1)] * 256)])
+        engine = ExpCutsEngine(pack_tree(tree))
+        assert len(engine._bypass.words) == 0
+        assert engine._bypass.root == int(LEAF_FLAG) | 2
+        assert engine.classify((1, 2, 3, 4, 5)) == tree.classify(
+            (1, 2, 3, 4, 5)) == 1
+        # The modelled walk still charges both levels.
+        assert len(engine.access_trace((1, 2, 3, 4, 5)).reads) == 4
+
+    def test_shared_one_child_nodes_merge(self):
+        # Two distinct one-child nodes that end at the same node make
+        # their parent one-child too.
+        tree = _hand_tree([
+            (0, [1] * 128 + [2] * 128),
+            (1, [3] * 256),
+            (1, [3] * 256),
+            (2, [leaf_ref(0)] * 100 + [leaf_ref(1)] * 156),
+        ])
+        engine = ExpCutsEngine(pack_tree(tree))
+        assert [hw >> 24 for _, hw, _ in _bypass_nodes(engine)] == [2]
+        for sip in (0, 99 << 8, 100 << 8, 0xFFFF_FFFF):
+            header = (sip, 0, 0, 0, 0)
+            assert engine.classify(header) == tree.classify(header)
+
+    @pytest.mark.parametrize("aggregated", [True, False])
+    def test_derived_image_has_no_one_child_node(self, small_cr_ruleset,
+                                                 aggregated):
+        clf = ExpCutsClassifier.build(small_cr_ruleset, aggregated=aggregated)
+        one_child = [n for n in clf.tree.nodes
+                     if len(set(n.children.cpa)) == 1]
+        assert one_child  # the real image has some to skip
+        nodes = _bypass_nodes(clf.engine)
+        offsets = {offset for offset, _, _ in nodes}
+        assert len(nodes) < len(clf.tree.nodes)
+        for _, _, pointers in nodes:
+            assert len(set(pointers)) > 1
+            assert all(p & int(LEAF_FLAG) or p in offsets for p in pointers)
+
+    @pytest.mark.parametrize("name", ["CR01", "FW03"])
+    def test_fewer_nodes_visited_on_paper_sets(self, name):
+        ruleset = paper_ruleset(name)
+        clf = ExpCutsClassifier.build(ruleset)
+        trace = matched_trace(ruleset, 300, seed=7)
+        visited, levels = [], []
+        for header in trace.headers():
+            header = tuple(int(v) for v in header)
+            visited.append(_nodes_visited(clf.engine, header))
+            levels.append(len(clf.access_trace(header).reads) // 2)
+            assert visited[-1] <= levels[-1]
+        # The modelled walk reads 12.8-13 levels per lookup on these sets.
+        assert statistics.mean(levels) > 12.5
+        assert statistics.mean(visited) < 10
+
+    @pytest.mark.parametrize("aggregated, digest", [
+        (True, "4f9eb2dcc805aec372249b95c3af9eee29a5f23ba372c653b30ad7fc5d46362d"),
+        (False, "114b1f0a53ee33228ee1d98fcb1ec951c22830df9f2b22bfb55c7b83753d3ac9"),
+    ])
+    def test_pickled_bytes_unchanged(self, small_cr_ruleset, aggregated,
+                                     digest):
+        """The snapshot payload (``pickle.HIGHEST_PROTOCOL``) of a built
+        classifier, pinned from before the bypass image existed: the
+        derived image never reaches a snapshot or cache file."""
+        clf = ExpCutsClassifier.build(small_cr_ruleset, aggregated=aggregated)
+        payload = pickle.dumps(clf, protocol=pickle.HIGHEST_PROTOCOL)
+        assert hashlib.sha256(payload).hexdigest() == digest
+        loaded = pickle.loads(payload)
+        assert loaded.engine._bypass is clf.engine._bypass
+
+    def test_derived_on_first_lookup_and_released_with_its_engine(self):
+        # A rule set no other test builds, so no other engine shares the
+        # derived image.
+        ruleset = RuleSet([Rule.from_prefixes(sip="10.9.0.0/16", dport=7),
+                           Rule.any()])
+        engine = ExpCutsEngine(ExpCutsClassifier.build(ruleset).image)
+        assert "_bypass" not in engine.__dict__  # batch/trace-only engines
+        engine.classify((0, 0, 0, 0, 0))
+        words = weakref.ref(engine._bypass.words.obj)
+        engine.image = engine.image  # a new image drops the derived one
+        assert words() is None and "_bypass" not in engine.__dict__
+        engine.classify((0, 0, 0, 0, 0))
+        words = weakref.ref(engine._bypass.words.obj)
+        del engine
+        assert words() is None
+
+    def test_equal_images_share_one_bypass(self, small_cr_ruleset,
+                                           small_fw_ruleset):
+        first = ExpCutsClassifier.build(small_cr_ruleset).engine
+        again = ExpCutsClassifier.build(small_cr_ruleset).engine
+        assert again.image is not first.image
+        assert again._bypass is first._bypass
+        for other in (ExpCutsClassifier.build(small_fw_ruleset),
+                      ExpCutsClassifier.build(small_cr_ruleset,
+                                              aggregated=False)):
+            assert other.engine._bypass is not first._bypass
+
+    @pytest.mark.parametrize("sip", ["10.0.0.0/8", None])
+    def test_shrunk_schedule_still_trips_the_watchdog(self, sip):
+        """A one-level schedule under a deeper tree raises, whether the
+        walk runs out of iterations (a branching root) or meets a node
+        tagged past the schedule (a one-child root, skipped to level 4)."""
+        ruleset = RuleSet([Rule.from_prefixes(sip=sip, dip="192.168.1.0/24"),
+                           Rule.from_prefixes(dip="10.0.0.0/8"),
+                           Rule.any()])
+        engine = ExpCutsClassifier.build(ruleset).engine
+        bypass = engine._bypass
+        assert bypass.words[bypass.root] >> 24 == (0 if sip else 4)
+        headers = boundary_headers(ruleset)
+        assert max(_nodes_visited(engine, h) for h in headers) > 1
+        engine.schedule = engine.schedule[:1]
+        with pytest.raises(DepthBoundExceededError):
+            for header in headers:
+                engine.classify(header)
 
 
 class TestTrace:

@@ -35,10 +35,14 @@ class TestRegistry:
 # "profile" and "perf-report" are exercised in test_profile.py /
 # test_perf_report.py against tmp directories — running them here would
 # drop artifacts into the committed results/.
+# update-storm reads the shared registry run from ``conftest.py``.
 @pytest.mark.parametrize(
     "name", sorted(set(REGISTRY) - {"profile", "perf-report"}))
-def test_quick_mode_runs(name):
-    result = run_experiment(name, quick=True)
+def test_quick_mode_runs(name, request):
+    if name == "update-storm":
+        result, _ = request.getfixturevalue("quick_update_storm")
+    else:
+        result = run_experiment(name, quick=True)
     assert isinstance(result, ExperimentResult)
     assert result.experiment == name
     assert len(result.text) > 20

@@ -5,7 +5,9 @@ update rate floor, the epoch-lag SLO, faults survived, backlog drained)
 are asserted *inside* run_soak — a quick run that returns at
 all has already passed them.  Here we pin determinism (two runs of the
 same seeded storm must be byte-identical) and that the published
-evidence actually records the storm the fault plan promised.
+evidence actually records the storm the fault plan promised.  Both read
+the shared ``quick_update_storm`` run; the determinism check compares it
+with one more, independent run.
 """
 
 import json
@@ -14,14 +16,14 @@ from repro.harness.soak import UPDATE_STORM, run_soak
 
 
 class TestUpdateStormQuick:
-    def test_two_runs_bit_identical(self):
-        first = run_soak(UPDATE_STORM, quick=True)
+    def test_two_runs_bit_identical(self, quick_update_storm):
+        first, _ = quick_update_storm
         second = run_soak(UPDATE_STORM, quick=True)
         assert json.dumps(first.data, sort_keys=True) == \
             json.dumps(second.data, sort_keys=True)
 
-    def test_result_shape_and_acceptance_evidence(self):
-        result = run_soak(UPDATE_STORM, quick=True)
+    def test_result_shape_and_acceptance_evidence(self, quick_update_storm):
+        result, _ = quick_update_storm
         assert result.experiment == "update-storm"
         data = result.data
         extra = data["extra"]

@@ -126,6 +126,18 @@ class TestDeathAndRestart:
         assert counter(registry, "restarts") == 1
         assert supervisor.request("shard0", [HEADER], clock.now) == [0]
 
+    def test_each_spawn_registers_its_own_pipe_poller(self, sup):
+        supervisor, clock, _ = sup
+        handle = supervisor.handles["shard0"]
+        first = handle.poller
+        assert first is not None
+        supervisor.inject_kill("shard0")
+        assert not supervisor.probe("shard0", clock.now)  # EOF via poll
+        assert handle.poller is None and handle.conn is None
+        restart(supervisor, clock)
+        assert handle.poller is not None and handle.poller is not first
+        assert supervisor.request("shard0", [HEADER], clock.now) == [0]
+
     def test_hang_caught_by_liveness_deadline(self, sup):
         supervisor, clock, registry = sup
         supervisor.inject_hang("shard0")
