@@ -6,7 +6,8 @@ then answers three questions:
 * ``classify(header)`` — which rule matches first (functional result);
   pass ``trace=DecisionTrace()`` to additionally record the decision
   path (nodes visited, strides, POP_COUNTs, linear-search lengths) —
-  see :mod:`repro.obs.trace`;
+  see :mod:`repro.obs.trace`; ``classify_many(headers)`` answers a
+  request's headers in one call;
 * ``access_trace(header)`` — exactly which memory references and compute
   cycles that lookup costs (consumed by :mod:`repro.npsim`);
 * ``memory_regions()`` — the logical memory segments the built structure
@@ -104,6 +105,16 @@ class PacketClassifier(abc.ABC):
             scope.histogram("linear_search_length").observe(
                 trace.linear_search_length
             )
+
+    def classify_many(self, headers: Sequence[Sequence[int]]
+                      ) -> list[int | None]:
+        """:meth:`classify` for each header, in order.
+
+        The serving loop's lookup: algorithms whose walk has per-call
+        setup to hoist override it; the answers are always those of
+        per-header :meth:`classify`.
+        """
+        return [self.classify(header) for header in headers]
 
     def classify_batch(self, fields: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized lookup over five parallel field arrays.

@@ -112,6 +112,14 @@ class ExpCutsClassifier(PacketClassifier):
             return self.tree.classify(header)
         return self.engine.classify(header)
 
+    def classify_many(self, headers: Sequence[Sequence[int]]
+                      ) -> list[int | None]:
+        # An edited tree answers from its IR walk, as ``classify`` does:
+        # repacking here would put a full pack on the request path.
+        if self._image_dirty:
+            return [self.tree.classify(header) for header in headers]
+        return self.engine.classify_many(headers)
+
     def classify_batch(self, fields: Sequence[np.ndarray]) -> np.ndarray:
         self._ensure_image()
         return self.engine.classify_batch(fields)

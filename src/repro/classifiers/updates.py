@@ -532,6 +532,34 @@ class UpdatableClassifier:
             trace.finish(best)
         return best
 
+    def classify_many(self, headers: Sequence[Sequence[int]]
+                      ) -> list[int | None]:
+        """:meth:`classify` for each header, answered from one
+        ``base.classify_many`` call.
+
+        Answers and :class:`UpdateStats` are those of the per-header
+        loop, which still serves every header while the overlay holds
+        rules or when the base raises (the depth watchdog), and serves a
+        header whose base winner is tombstoned.
+        """
+        if self._overlay:
+            return [self.classify(header) for header in headers]
+        try:
+            hits = self.base.classify_many(headers)
+        except (ReproError, LookupError):
+            return [self.classify(header) for header in headers]
+        mapping = self._snapshot_to_current
+        answers = [None if hit is None else mapping[hit] for hit in hits]
+        base_hits = len(hits) - hits.count(None)
+        # A hit that maps to None is a tombstoned winner.
+        if base_hits != len(answers) - answers.count(None):
+            for i, hit in enumerate(hits):
+                if hit is not None and answers[i] is None:
+                    base_hits -= 1
+                    answers[i] = self.classify(headers[i])
+        self.stats.base_hits += base_hits
+        return answers
+
     def _scan(self, header: Sequence[int]) -> int | None:
         for idx, rule in enumerate(self.rules):
             if rule.matches(header):

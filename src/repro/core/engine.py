@@ -3,11 +3,13 @@
 Three access paths, all provably equivalent (tests cross-check them and
 the tree-IR walk against the linear-search oracle):
 
-* :meth:`ExpCutsEngine.classify` — the scalar walk a microengine thread
-  performs: read the node header word, one ``POP_COUNT``, read one pointer
-  word, descend.  In software it runs over a derived *bypass image*
-  (:func:`bypass_image`) that skips nodes whose every slot leads to the
-  same child, so it reads fewer nodes than the modelled walk charges.
+* :meth:`ExpCutsEngine.classify_many` (and ``classify``, its one-header
+  case) — the scalar walk a microengine thread performs: read the node
+  header word, one ``POP_COUNT``, read one pointer word, descend.  In
+  software it runs over a derived *bypass image* (:func:`bypass_image`)
+  that skips nodes whose every slot leads to the same child, entered
+  through a derived :func:`root_table` over the leading 16 key bits, so
+  it reads fewer nodes than the modelled walk charges.
 * :meth:`ExpCutsEngine.classify_batch` — NumPy level-synchronous traversal
   of whole packet arrays (flat contiguous ``uint32`` gathers, no per-packet
   Python), per the HPC guide idioms.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -203,14 +205,96 @@ def bypass_image(image: TreeImage) -> tuple[np.ndarray, int]:
 
 class _Bypass:
     """A derived bypass image: its words as a zero-copy ``memoryview``
-    (a read yields a plain ``int`` without boxing a numpy scalar) and its
-    root pointer."""
+    (a read yields a plain ``int`` without boxing a numpy scalar), its
+    root pointer and the digest of the packed image it came from."""
 
-    __slots__ = ("words", "root", "__weakref__")
+    __slots__ = ("words", "root", "digest", "__weakref__")
 
-    def __init__(self, words: np.ndarray, root: int) -> None:
+    def __init__(self, words: np.ndarray, root: int, digest: bytes) -> None:
         self.words = memoryview(words).cast("B").cast("I")
         self.root = root
+        self.digest = digest
+
+
+#: Widest key, in bits, that indexes a root table (64K entries).
+ROOT_TABLE_BITS = 16
+
+
+def root_cut(keys: Sequence[tuple[int, int, int]]) -> tuple[int, int, int, int]:
+    """The leading levels a root table resolves: ``(levels, field, shift,
+    mask)``.
+
+    ``keys`` holds one ``(field, shift, mask)`` per schedule level.  The
+    table covers the longest run of leading levels that cut adjacent bits
+    of one field, MSB first, and together take at most
+    :data:`ROOT_TABLE_BITS`; one key ``(header[field] >> shift) & mask``
+    then names all of their keys at once.  Every schedule that
+    :func:`~repro.core.fields.cut_schedule` makes starts inside the 32-bit
+    source address, so the table covers 16 bits (two levels at stride 8,
+    one at stride 12 or 16).
+    """
+    levels = width = 0
+    field = shift = 0
+    for level_field, level_shift, level_mask in keys:
+        bits = level_mask.bit_length()
+        if width + bits > ROOT_TABLE_BITS or (
+                levels and (level_field != field
+                            or level_shift + bits != shift)):
+            break
+        field, shift = level_field, level_shift
+        levels, width = levels + 1, width + bits
+    return levels, field, shift, (1 << width) - 1
+
+
+def root_table(words: np.ndarray, root: int,
+               keys: Sequence[tuple[int, int, int]]) -> np.ndarray:
+    """Where the bypass walk stands after the leading levels ``keys``
+    (those :func:`root_cut` picks), for every value of their joint key.
+
+    Entry ``k`` is the pointer the scalar walk from ``root`` reaches for
+    a header whose key is ``k`` once it meets a leaf or a node tagged
+    past those levels.  The table grows one level at a time: each
+    entry splits into one per key of the next level, and the entries
+    that stand on a node of that level take one step.  A step that would
+    read outside ``words`` (a corrupted image) is not taken, so the
+    per-header walk that goes on from the entry meets the same fault.
+    """
+    table = np.array([root], dtype=np.uint32)
+    size = len(words)
+    for level, (_, _, mask) in enumerate(keys):
+        table = np.repeat(table, mask + 1)
+        at = np.flatnonzero(table < LEAF_FLAG)
+        ptr = table[at].astype(np.int64)
+        inside = ptr < size
+        at, ptr = at[inside], ptr[inside]
+        hw = words[ptr]
+        ours = (hw >> np.uint32(24)) == level
+        at, ptr, hw = at[ours], ptr[ours], hw[ours]
+        key = at & mask  # this level's key: the entry's lowest bits
+        u = ((hw >> np.uint32(20)) & np.uint32(0xF)).astype(np.int64)
+        below = (np.int64(2) << np.minimum(key >> u, 16)) - 1
+        pop = popcount_u16(hw & below.astype(np.uint32))
+        addr = ptr + ((pop - 1) << u) + (key & ((np.int64(1) << u) - 1)) + 1
+        inside = (addr >= 0) & (addr < size)
+        table[at[inside]] = words[addr[inside]]
+    return table
+
+
+class _Walk:
+    """The scalar walk's entry state for one bypass image and schedule:
+    the bypass words, the :func:`root_table` as a zero-copy
+    ``memoryview``, and the key that indexes it."""
+
+    __slots__ = ("words", "table", "levels", "field", "shift", "mask",
+                 "__weakref__")
+
+    def __init__(self, bypass: _Bypass,
+                 keys: Sequence[tuple[int, int, int]]) -> None:
+        self.words = bypass.words
+        self.levels, self.field, self.shift, self.mask = root_cut(keys)
+        table = root_table(np.asarray(bypass.words), bypass.root,
+                           keys[:self.levels])
+        self.table = memoryview(table).cast("B").cast("I")
 
 
 #: Bypass images by a digest of the packed image they were derived from,
@@ -218,6 +302,10 @@ class _Bypass:
 #: base rebuilt from the same rules) share one copy.  An entry lives as
 #: long as some engine holds it.
 _SHARED_BYPASS: weakref.WeakValueDictionary[bytes, _Bypass] = (
+    weakref.WeakValueDictionary())
+#: Root tables by image digest and the keys of the levels they resolve,
+#: shared and released the same way.
+_SHARED_WALK: weakref.WeakValueDictionary[tuple, _Walk] = (
     weakref.WeakValueDictionary())
 
 
@@ -233,7 +321,7 @@ def _image_digest(image: TreeImage) -> bytes:
 class ExpCutsEngine:
     """Classify packets against a packed :class:`TreeImage`.
 
-    The scalar walk runs off two pieces of derived state, neither of them
+    The scalar walk runs off three pieces of derived state, none of them
     pickled (the payload stays exactly ``image``, ``schedule`` and
     ``use_pop_count``):
 
@@ -241,6 +329,10 @@ class ExpCutsEngine:
       lookup, shared with every engine over an equal image, and dropped
       when ``image`` is assigned.  An engine read only by the batch walk,
       the traced walks or npsim never holds one.
+    * ``_walk`` — the bypass words plus the :func:`root_table` over the
+      leading levels of ``schedule`` (64K ``uint32`` entries, 256 KB),
+      derived and shared alongside ``_bypass`` and dropped when either
+      ``image`` or ``schedule`` is assigned.
     * ``_keys`` — one ``(field, shift, mask)`` per level of ``schedule``,
       rebuilt when ``schedule`` is assigned.
     """
@@ -256,21 +348,32 @@ class ExpCutsEngine:
         object.__setattr__(self, name, value)
         if name == "image":
             self.__dict__.pop("_bypass", None)
+            self.__dict__.pop("_walk", None)
         elif name == "schedule":
+            self.__dict__.pop("_walk", None)
             object.__setattr__(self, "_keys", tuple(
                 (int(step.field), step.shift, (1 << step.width) - 1)
                 for step in value))
 
     def __getattr__(self, name: str):
-        # Reached only while ``_bypass`` is not derived yet.
-        if name != "_bypass":
+        # Reached only while ``_bypass`` or ``_walk`` is not derived yet.
+        if name == "_bypass":
+            key = _image_digest(self.image)
+            derived = _SHARED_BYPASS.get(key)
+            if derived is None:
+                derived = _SHARED_BYPASS[key] = _Bypass(
+                    *bypass_image(self.image), key)
+        elif name == "_walk":
+            bypass = self._bypass
+            levels = root_cut(self._keys)[0]
+            key = (bypass.digest, self._keys[:levels])
+            derived = _SHARED_WALK.get(key)
+            if derived is None:
+                derived = _SHARED_WALK[key] = _Walk(bypass, self._keys)
+        else:
             raise AttributeError(name)
-        key = _image_digest(self.image)
-        bypass = _SHARED_BYPASS.get(key)
-        if bypass is None:
-            bypass = _SHARED_BYPASS[key] = _Bypass(*bypass_image(self.image))
-        object.__setattr__(self, "_bypass", bypass)
-        return bypass
+        object.__setattr__(self, name, derived)
+        return derived
 
     def __getstate__(self) -> dict:
         return {name: self.__dict__[name]
@@ -283,36 +386,52 @@ class ExpCutsEngine:
     # -- scalar ---------------------------------------------------------
 
     def classify(self, header: Sequence[int]) -> int | None:
-        """Return the matched rule id (or ``None``) for one header.
+        """Return the matched rule id (or ``None``) for one header."""
+        return self.classify_many((header,))[0]
 
-        Per node of the bypass image: read the header word, cut the key
-        its level tag names, count the HABS bits below the key's
-        sub-array (one ``POP_COUNT``), read the pointer word.
-        ``use_pop_count`` only changes the modelled cycle cost, so both
-        settings take this walk.
+    def classify_many(self, headers: Iterable[Sequence[int]]
+                      ) -> list[int | None]:
+        """Matched rule ids (``None`` for no match), one per header.
+
+        Each walk enters through the root table, one read for the leading
+        levels, then per node of the bypass image: read the header word,
+        cut the key its level tag names, count the HABS bits below the
+        key's sub-array (one ``POP_COUNT``), read the pointer word.  A
+        walk reads at most ``len(schedule)`` nodes, the table's levels
+        included.  ``use_pop_count`` only changes the modelled cycle
+        cost, so both settings take this walk.
         """
-        bypass = self._bypass
-        words, ptr = bypass.words, bypass.root
-        if ptr & _LEAF:
-            return decode_leaf(ptr)
+        walk = self._walk
+        words, table = walk.words, walk.table
+        field, shift, mask = walk.field, walk.shift, walk.mask
         keys = self._keys
-        for _ in keys:
-            hw = words[ptr]
-            try:
-                field, shift, mask = keys[hw >> 24]
-            except IndexError:
-                break  # a node tagged deeper than the schedule reaches
-            key = (header[field] >> shift) & mask
-            u = (hw >> 20) & 0xF
-            pop = (hw & 0xFFFF & ((2 << (key >> u)) - 1)).bit_count()
-            ptr = words[ptr + ((pop - 1) << u) + (key & ((1 << u) - 1)) + 1]
-            if ptr & _LEAF:
-                return decode_leaf(ptr)
-        # Watchdog: only a corrupted image can get here — the packed tree
-        # is at most ``len(schedule)`` levels deep.
-        raise DepthBoundExceededError(
-            f"lookup descended past the {len(self.schedule)}-level bound"
-        )
+        rest = keys[walk.levels:]
+        answers: list[int | None] = []
+        append = answers.append
+        for header in headers:
+            ptr = table[(header[field] >> shift) & mask]
+            if not ptr & _LEAF:
+                for _ in rest:
+                    hw = words[ptr]
+                    try:
+                        f, s, m = keys[hw >> 24]
+                    except IndexError:
+                        break  # a node tagged deeper than the schedule reaches
+                    key = (header[f] >> s) & m
+                    u = (hw >> 20) & 0xF
+                    pop = (hw & 0xFFFF & ((2 << (key >> u)) - 1)).bit_count()
+                    ptr = words[ptr + ((pop - 1) << u)
+                                + (key & ((1 << u) - 1)) + 1]
+                    if ptr & _LEAF:
+                        break
+                if not ptr & _LEAF:
+                    # Watchdog: only a corrupted image gets here — the
+                    # packed tree is at most ``len(schedule)`` levels deep.
+                    raise DepthBoundExceededError(
+                        f"lookup descended past the {len(keys)}-level bound")
+            payload = ptr & 0x7FFF_FFFF
+            append(payload - 1 if payload else None)
+        return answers
 
     # -- instrumented ----------------------------------------------------
 

@@ -29,7 +29,10 @@ row per header in field order), and ``answers`` the ``bytes`` of ``n``
 int32 global rule indices (:data:`ANSWER_DTYPE`), ``-1`` for no match.
 :func:`pack_rows` and :func:`unpack_answers` are the two ends the parent
 uses.  The message itself stays a pickled tuple, so framing and the
-order of sends are those of every other message.
+order of sends are those of every other message.  The worker answers a
+request with one ``classify_many`` call over its rows, which for an
+ExpCuts shard is one fused scalar walk loop (see
+:meth:`~repro.core.engine.ExpCutsEngine.classify_many`).
 
 **Update epochs.**  Rule updates arrive as ``("update", epoch, ops)``
 with a fabric-wide monotonic epoch per batch.  The worker applies
@@ -312,9 +315,8 @@ def worker_main(conn, spec: ShardSpec) -> None:
             try:
                 headers = np.frombuffer(message[1], dtype=HEADER_DTYPE
                                         ).reshape(-1, NUM_FIELDS).tolist()
-                lookup = classifier.classify
                 answers = [-1 if local is None else global_map[local]
-                           for local in map(lookup, headers)]
+                           for local in classifier.classify_many(headers)]
                 served += len(headers)
                 conn.send(("result",
                            np.array(answers, dtype=ANSWER_DTYPE).tobytes(),

@@ -148,16 +148,28 @@ def _bypass_nodes(engine):
     return nodes
 
 
-def _nodes_visited(engine, header):
-    """Nodes the scalar walk reads for ``header`` (two words each)."""
-    bypass = engine._bypass
-    words = _CountingWords(bypass.words)
-    engine._bypass = SimpleNamespace(words=words, root=bypass.root)
+def _nodes_visited(engine, header, through_table=False):
+    """Nodes the scalar walk reads for ``header`` (two words each).
+
+    By default the walk enters at the bypass root through a zero-level
+    root table, so the count includes the nodes a real root table
+    resolves; ``through_table`` counts only the nodes read past the real
+    table's entry."""
+    walk = engine._walk
+    words = _CountingWords(walk.words)
+    if through_table:
+        fake = SimpleNamespace(words=words, table=walk.table,
+                               levels=walk.levels, field=walk.field,
+                               shift=walk.shift, mask=walk.mask)
+    else:
+        fake = SimpleNamespace(words=words, table=[engine._bypass.root],
+                               levels=0, field=0, shift=0, mask=0)
+    engine._walk = fake
     try:
         engine.classify(header)
         return words.reads // 2
     finally:
-        engine._bypass = bypass
+        engine._walk = walk
 
 
 def _hand_tree(nodes, root_ref=0):
@@ -167,6 +179,14 @@ def _hand_tree(nodes, root_ref=0):
         stride=8, habs_bits_log2=4, schedule=schedule,
         nodes=[InternalNode(level, compress(refs, 4)) for level, refs in nodes],
         root_ref=root_ref, num_rules=2)
+
+
+#: SHA-256 of a built ``small_cr_ruleset`` classifier's snapshot payload
+#: per image variant, pinned from before any derived walk state existed.
+PINNED_PICKLES = [
+    (True, "4f9eb2dcc805aec372249b95c3af9eee29a5f23ba372c653b30ad7fc5d46362d"),
+    (False, "114b1f0a53ee33228ee1d98fcb1ec951c22830df9f2b22bfb55c7b83753d3ac9"),
+]
 
 
 class TestBypassImage:
@@ -263,10 +283,7 @@ class TestBypassImage:
         assert statistics.mean(levels) > 12.5
         assert statistics.mean(visited) < 10
 
-    @pytest.mark.parametrize("aggregated, digest", [
-        (True, "4f9eb2dcc805aec372249b95c3af9eee29a5f23ba372c653b30ad7fc5d46362d"),
-        (False, "114b1f0a53ee33228ee1d98fcb1ec951c22830df9f2b22bfb55c7b83753d3ac9"),
-    ])
+    @pytest.mark.parametrize("aggregated, digest", PINNED_PICKLES)
     def test_pickled_bytes_unchanged(self, small_cr_ruleset, aggregated,
                                      digest):
         """The snapshot payload (``pickle.HIGHEST_PROTOCOL``) of a built
@@ -322,6 +339,139 @@ class TestBypassImage:
         with pytest.raises(DepthBoundExceededError):
             for header in headers:
                 engine.classify(header)
+
+
+class TestRootTable:
+    """Each scalar walk enters through a derived root table over the
+    schedule's leading 16 bits, and still gives every other path's
+    answer."""
+
+    @pytest.mark.parametrize("stride, levels, shift", [
+        (8, 2, 16), (4, 4, 16), (12, 1, 20), (16, 1, 16)])
+    def test_covers_the_leading_sixteen_bits(self, small_cr_ruleset, stride,
+                                             levels, shift):
+        clf = ExpCutsClassifier.build(small_cr_ruleset, stride=stride)
+        walk = clf.engine._walk
+        assert (walk.levels, walk.field, walk.shift) == (levels, 0, shift)
+        # Two 16-bit steps at stride 16 would need 2**32 entries: the
+        # table stops after the first.
+        assert len(walk.table) == walk.mask + 1 <= 1 << 16
+        TestScalarWalkEquivalence._assert_all_paths_agree(clf,
+                                                          small_cr_ruleset)
+
+    def test_one_step_schedule(self):
+        tree = _hand_tree([(0, [leaf_ref(0)] * 100 + [REF_NO_MATCH] * 156)])
+        engine = ExpCutsEngine(pack_tree(tree))
+        engine.schedule = engine.schedule[:1]
+        assert engine._walk.levels == 1 and len(engine._walk.table) == 256
+        for sip, want in ((0, 0), (99 << 24 | 0xFFFFFF, 0), (100 << 24, None),
+                          (0xFFFF_FFFF, None)):
+            header = (sip, 0, 0, 0, 0)
+            assert engine.classify(header) == tree.classify(header) == want
+            assert _nodes_visited(engine, header, through_table=True) == 0
+
+    def test_leaf_root(self):
+        tree = _hand_tree([], root_ref=leaf_ref(1))
+        engine = ExpCutsEngine(pack_tree(tree))
+        assert set(engine._walk.table) == {int(LEAF_FLAG) | 2}
+        headers = [(1, 2, 3, 4, 5), (0xFFFF_FFFF, 0, 0, 0, 0)]
+        assert engine.classify_many(headers) == [1, 1]
+        assert [tree.classify(h) for h in headers] == [1, 1]
+
+    @pytest.mark.parametrize("aggregated", [True, False])
+    def test_one_child_root_chain_ends_past_the_table(self, aggregated):
+        # The root chain skips every source and destination level, so
+        # each table entry is the bypass root, tagged level 10.
+        ruleset = RuleSet([Rule.from_prefixes(dport=(80, 80), proto=6),
+                           Rule.from_prefixes(dport=(1000, 2000)),
+                           Rule.any()])
+        clf = ExpCutsClassifier.build(ruleset, aggregated=aggregated)
+        bypass, walk = clf.engine._bypass, clf.engine._walk
+        assert bypass.words[bypass.root] >> 24 == 10 and walk.levels == 2
+        assert set(walk.table) == {bypass.root}
+        assert _nodes_visited(clf.engine, (1, 2, 3, 80, 6),
+                              through_table=True) == 3
+        TestScalarWalkEquivalence._assert_all_paths_agree(clf, ruleset)
+
+    @pytest.mark.parametrize("name", ["CR01", "FW03"])
+    def test_table_resolves_the_source_levels(self, name):
+        ruleset = paper_ruleset(name)
+        clf = ExpCutsClassifier.build(ruleset)
+        engine = clf.engine
+        walk = engine._walk
+        headers = [tuple(int(v) for v in header)
+                   for header in matched_trace(ruleset, 300, seed=7).headers()]
+        past, visited = [], []
+        for header in headers:
+            past.append(_nodes_visited(engine, header, through_table=True))
+            visited.append(_nodes_visited(engine, header))
+            assert past[-1] <= visited[-1]
+            assert walk.levels + past[-1] <= len(engine.schedule)
+        # The walk no longer reads the source-address levels 0-1.
+        assert statistics.mean(visited) - statistics.mean(past) > 1
+        assert engine.classify_many(headers) == [
+            ruleset.first_match(h) for h in headers]
+
+    def test_cycle_past_the_table_reads_at_most_the_schedule(self,
+                                                             small_cr_ruleset):
+        """A corrupted image whose node points back at itself: the walk
+        reads the nodes the table leaves over, then the watchdog trips."""
+        engine = ExpCutsClassifier.build(small_cr_ruleset).engine
+        walk = engine._walk
+        # One level-4 node, one HABS bit, u = 4: 16 pointers to itself.
+        words = _CountingWords([4 << 24 | 4 << 20 | 1] + [0] * 16)
+        engine._walk = SimpleNamespace(
+            words=words, table=[0] * (walk.mask + 1), levels=walk.levels,
+            field=walk.field, shift=walk.shift, mask=walk.mask)
+        try:
+            with pytest.raises(DepthBoundExceededError):
+                engine.classify((0, 0, 0, 0, 0))
+        finally:
+            engine._walk = walk
+        assert walk.levels + words.reads // 2 == len(engine.schedule)
+
+    def test_schedule_reassigned_after_first_lookup(self, small_cr_ruleset):
+        clf = ExpCutsClassifier.build(small_cr_ruleset)
+        engine = clf.engine
+        headers = boundary_headers(small_cr_ruleset)
+        want = engine.classify_many(headers)
+        full = engine._walk
+        engine.schedule = engine.schedule[:1]
+        assert "_walk" not in engine.__dict__
+        assert engine._walk.levels == 1 and len(engine._walk.table) == 256
+        with pytest.raises(DepthBoundExceededError):
+            engine.classify_many(headers)
+        engine.schedule = clf.tree.schedule
+        assert engine._walk is full  # an equal schedule: the same table
+        assert engine.classify_many(headers) == want
+
+    def test_equal_engines_share_one_table(self, small_cr_ruleset):
+        first = ExpCutsClassifier.build(small_cr_ruleset).engine
+        again = ExpCutsClassifier.build(small_cr_ruleset).engine
+        assert again._walk is first._walk
+        other = ExpCutsClassifier.build(small_cr_ruleset, stride=4).engine
+        assert other._walk is not first._walk
+
+    def test_released_with_its_engine(self):
+        ruleset = RuleSet([Rule.from_prefixes(sip="10.11.0.0/16", dport=9),
+                           Rule.any()])
+        engine = ExpCutsEngine(ExpCutsClassifier.build(ruleset).image)
+        table = weakref.ref(engine._walk)
+        engine.image = engine.image
+        assert table() is None and "_walk" not in engine.__dict__
+        table = weakref.ref(engine._walk)
+        del engine
+        assert table() is None
+
+    @pytest.mark.parametrize("aggregated, digest", PINNED_PICKLES)
+    def test_derived_table_never_reaches_the_pickle(self, small_cr_ruleset,
+                                                    aggregated, digest):
+        clf = ExpCutsClassifier.build(small_cr_ruleset, aggregated=aggregated)
+        clf.classify((0, 0, 0, 0, 0))
+        assert "_walk" in clf.engine.__dict__
+        payload = pickle.dumps(clf, protocol=pickle.HIGHEST_PROTOCOL)
+        assert hashlib.sha256(payload).hexdigest() == digest
+        assert pickle.loads(payload).engine._walk is clf.engine._walk
 
 
 class TestTrace:
