@@ -98,11 +98,11 @@ class PacketClassifier(abc.ABC):
             return
         scope = metrics_scope(f"classify.{self.name}")
         scope.counter("lookups").inc()
-        scope.histogram("depth").observe(trace.depth)
-        scope.histogram("accesses").observe(trace.total_accesses)
-        scope.histogram("words").observe(trace.total_words)
+        scope.log_histogram("depth").observe(trace.depth)
+        scope.log_histogram("accesses").observe(trace.total_accesses)
+        scope.log_histogram("words").observe(trace.total_words)
         if trace.linear_search_length:
-            scope.histogram("linear_search_length").observe(
+            scope.log_histogram("linear_search_length").observe(
                 trace.linear_search_length
             )
 

@@ -3,8 +3,8 @@
 Independent instruments, all zero-overhead when idle:
 
 * :mod:`repro.obs.metrics` — process-wide counter/gauge/histogram
-  registry with named scopes; disabled by default.  Includes the
-  log-bucketed :class:`LogHistogram` the latency paths report into.
+  registry with named scopes; disabled by default.  Its one histogram
+  kind is the log-bucketed :class:`LogHistogram`.
 * :mod:`repro.obs.span` — :class:`StageTimer` pipeline stage
   attribution (where each microsecond of a serving run goes).
 * :mod:`repro.obs.slo` — declarative SLOs with sliding-window
@@ -24,7 +24,6 @@ from .export import render_prometheus, write_json_snapshot, write_prometheus
 from .metrics import (
     Counter,
     Gauge,
-    Histogram,
     LogHistogram,
     MetricScope,
     MetricsRegistry,
@@ -50,7 +49,6 @@ __all__ = [
     "Counter",
     "DecisionTrace",
     "Gauge",
-    "Histogram",
     "LogHistogram",
     "MetricScope",
     "MetricsRegistry",

@@ -20,7 +20,7 @@ import json
 import re
 from pathlib import Path
 
-from .metrics import Histogram, LogHistogram, MetricsRegistry
+from .metrics import LogHistogram, MetricsRegistry
 
 _INVALID = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -40,17 +40,14 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def _histogram_lines(name: str, hist: Histogram | LogHistogram) -> list[str]:
+def _histogram_lines(name: str, hist: LogHistogram) -> list[str]:
     """Cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``."""
     lines = [f"# TYPE {name} histogram"]
     seen = 0
     for idx in sorted(hist.counts):
         seen += hist.counts[idx]
-        if isinstance(hist, LogHistogram):
-            le = hist.bucket_bounds(idx)[1]
-            lines.append(f'{name}_bucket{{le="{le:.6g}"}} {seen}')
-        else:
-            lines.append(f'{name}_bucket{{le="{idx}"}} {seen}')
+        le = hist.bucket_bounds(idx)[1]
+        lines.append(f'{name}_bucket{{le="{le:.6g}"}} {seen}')
     lines.append(f'{name}_bucket{{le="+Inf"}} {hist.total}')
     lines.append(f"{name}_sum {_fmt(hist._sum)}")
     lines.append(f"{name}_count {hist.total}")

@@ -83,74 +83,6 @@ class Gauge:
         return f"<Gauge {self.name}={self.value}>"
 
 
-class Histogram:
-    """An exact histogram over small integer-ish observations.
-
-    Observations are bucketed by their rounded value — the distributions
-    this library cares about (lookup depth, accesses per packet, linear
-    search length) are small integers, so exact counts beat fixed bucket
-    boundaries and keep percentile math trivial.
-    """
-
-    __slots__ = ("name", "counts", "total", "_sum", "_max")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.counts: dict[int, int] = {}
-        self.total = 0
-        self._sum = 0.0
-        self._max: float | None = None
-
-    def observe(self, value: float) -> None:
-        bucket = int(round(value))
-        self.counts[bucket] = self.counts.get(bucket, 0) + 1
-        self.total += 1
-        self._sum += value
-        if self._max is None or value > self._max:
-            self._max = value
-
-    @property
-    def mean(self) -> float:
-        return self._sum / self.total if self.total else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._max if self._max is not None else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Exact percentile (0 <= q <= 1) over the recorded buckets."""
-        if not self.total:
-            return 0.0
-        need = q * self.total
-        seen = 0
-        for bucket in sorted(self.counts):
-            seen += self.counts[bucket]
-            if seen >= need:
-                return float(bucket)
-        return float(max(self.counts))
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another exact histogram's buckets into this one."""
-        for bucket, count in other.counts.items():
-            self.counts[bucket] = self.counts.get(bucket, 0) + count
-        self.total += other.total
-        self._sum += other._sum
-        if other._max is not None and (self._max is None
-                                       or other._max > self._max):
-            self._max = other._max
-
-    def to_dict(self) -> dict:
-        return {
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
-            "total": self.total,
-            "mean": self.mean,
-            "max": self.max,
-        }
-
-    def __repr__(self) -> str:
-        return f"<Histogram {self.name} n={self.total} mean={self.mean:.2f}>"
-
-
 class LogHistogram:
     """An HDR-style log-bucketed histogram: fixed memory, bounded error.
 
@@ -328,9 +260,6 @@ class _NullScope:
     def gauge(self, name: str) -> _NullInstrument:
         return _NULL
 
-    def histogram(self, name: str) -> _NullInstrument:
-        return _NULL
-
     def log_histogram(self, name: str) -> _NullInstrument:
         return _NULL
 
@@ -392,16 +321,12 @@ class MetricScope:
     def gauge(self, name: str) -> Gauge:
         return self.registry.gauge(self._qualify(name))
 
-    def histogram(self, name: str) -> Histogram:
-        return self.registry.histogram(self._qualify(name))
-
     def log_histogram(self, name: str) -> LogHistogram:
         return self.registry.log_histogram(self._qualify(name))
 
     def bind(self, name: str, kind: str = "counter") -> BoundInstrument:
         """A handle on instrument ``name`` for per-event code: a
-        ``counter`` (``inc``) or a ``histogram``/``log_histogram``
-        (``observe``).  Hold it, and each event skips the name lookup."""
+        ``counter`` (``inc``) or a ``log_histogram`` (``observe``).  Hold it, and each event skips the name lookup."""
         return BoundInstrument(self, name, kind)
 
     def scope(self, name: str) -> "MetricScope":
@@ -414,10 +339,7 @@ class MetricsRegistry:
 
     counters: dict[str, Counter] = field(default_factory=dict)
     gauges: dict[str, Gauge] = field(default_factory=dict)
-    #: Exact integer histograms and log-bucketed latency histograms
-    #: share one namespace — a name is one kind or the other, never both.
-    histograms: dict[str, "Histogram | LogHistogram"] = field(
-        default_factory=dict)
+    histograms: dict[str, LogHistogram] = field(default_factory=dict)
     #: Handles resolved into the instruments above; :meth:`reset`
     #: unbinds them along with the instruments it drops.
     _bound: list[BoundInstrument] = field(
@@ -435,20 +357,10 @@ class MetricsRegistry:
             inst = self.gauges[name] = Gauge(name)
         return inst
 
-    def histogram(self, name: str) -> Histogram:
-        return self._histogram(name, Histogram)
-
     def log_histogram(self, name: str) -> LogHistogram:
-        return self._histogram(name, LogHistogram)
-
-    def _histogram(self, name: str, cls):
         inst = self.histograms.get(name)
         if inst is None:
-            inst = self.histograms[name] = cls(name)
-        elif not isinstance(inst, cls):
-            raise ValueError(
-                f"histogram {name!r} already registered as "
-                f"{type(inst).__name__}, not {cls.__name__}")
+            inst = self.histograms[name] = LogHistogram(name)
         return inst
 
     def scope(self, name: str) -> MetricScope:
@@ -462,14 +374,14 @@ class MetricsRegistry:
         feed its acceptance criteria) run on a private registry and fold
         it into the global one at their aggregation point.  Counters
         add, gauges take the other's last write, histograms merge their
-        exact bucket counts.
+        bucket counts.
         """
         for name, counter in other.counters.items():
             self.counter(name).inc(counter.value)
         for name, gauge in other.gauges.items():
             self.gauge(name).set(gauge.value)
         for name, hist in other.histograms.items():
-            self._histogram(name, type(hist)).merge(hist)
+            self.log_histogram(name).merge(hist)
 
     def snapshot(self) -> dict:
         """A JSON-friendly dump of every instrument, sorted by name."""

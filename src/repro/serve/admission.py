@@ -13,6 +13,9 @@ The gate owns the lock it needs and exposes it (:attr:`AdmissionGate.lock`)
 so an owner can serialise its own structure access under the *same*
 lock — the single-lock discipline the breaker and the update machinery
 rely on.
+
+:class:`ServingFrame` wraps the gate in the rest of what both front
+ends share: defaults, private metrics, stop/drain and metric access.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import time
 from typing import Callable
 
 from ..core.errors import AdmissionRejected, ConfigurationError, ServiceStopped
-from ..obs.metrics import MetricScope
+from ..obs.metrics import MetricScope, MetricsRegistry, get_registry
+from ..obs.span import NULL_STAGE_TIMER, StageTimer
+from .policy import ServicePolicy, TokenBucket
 
 #: Every reason :meth:`AdmissionGate.admit` sheds with, in decision order.
 SHED_REASONS = ("stopped", "stopping", "queue_full", "rate_limited")
@@ -185,3 +190,80 @@ class AdmissionGate:
         with self.lock:
             self._draining = True
             self._stopped = True
+
+
+class ServingFrame:
+    """The frame around a front end's request path.  A subclass sets
+    :attr:`SCOPE` and defines ``_final_state(drained)``, its
+    :meth:`stop` payload: :meth:`_stopped_state` plus its own keys."""
+
+    #: ``serve`` or ``fabric``: the metric scope, and the
+    #: ``<SCOPE>-state`` kind of the :meth:`stop` snapshot.
+    SCOPE: str
+
+    def __init__(self, policy: ServicePolicy | None,
+                 clock: Callable[[], float] | None,
+                 stage_timer: StageTimer | None) -> None:
+        self.policy = policy or ServicePolicy()
+        self._clock = clock or time.monotonic
+        # Stage attribution is opt-in: without a timer the shared null
+        # timer makes every span a no-op (see repro.obs.span).
+        self.stages = stage_timer or NULL_STAGE_TIMER
+        # The serving layer observes itself even when process metrics
+        # are off: its counters are the interface the acceptance checks
+        # (zero divergences, nonzero sheds) read.
+        self.metrics = MetricsRegistry()
+        scope = self._scope = self.metrics.scope(self.SCOPE)
+        bucket = None
+        if self.policy.rate_limit_per_s is not None:
+            bucket = TokenBucket(self.policy.rate_limit_per_s,
+                                 self.policy.burst, clock=self._clock)
+        # The gate owns the lock, so the front end's structure access
+        # serialises under the same lock admission decisions take.
+        self._gate = AdmissionGate(scope, self.policy.max_in_flight,
+                                   bucket=bucket)
+        self._lock = self._gate.lock
+        # Bound once, resolved on first use: a request pays no name
+        # lookup, and an unused counter stays out of the snapshot.
+        self._served = scope.bind("served")
+        self._latency_us = scope.bind("latency_us", "log_histogram")
+        self._oracle_checks = scope.bind("oracle.checks")
+        self._oracle_divergences = scope.bind("oracle.divergences")
+
+    def stop(self, drain: bool = True, snapshot_path=None,
+             drain_timeout_s: float = 5.0) -> dict:
+        """Shed new requests, drain in-flight ones (``drain_timeout_s``
+        bounds the wait in *real* seconds: drain waits on OS threads,
+        not the injectable clock), and return the final state.  With
+        ``snapshot_path`` set the state is also written to the verified
+        snapshot store, so a restart can rebuild what was serving."""
+        with self._lock:
+            self._gate.begin_drain()
+            with self.stages.span("drain"):
+                drained = (self._gate.wait_drained(drain_timeout_s) if drain
+                           else self._gate.in_flight == 0)
+            self._gate.mark_stopped()
+            state = self._final_state(drained)
+        if snapshot_path is not None:
+            from ..harness.cache import CACHE_VERSION
+            from ..harness.snapshots import write_snapshot
+
+            write_snapshot(snapshot_path, state, kind=f"{self.SCOPE}-state",
+                           cache_version=CACHE_VERSION)
+        return state
+
+    def _stopped_state(self, rules, drained: bool) -> dict:
+        """The keys every stop payload starts with, in this order."""
+        return {"rules": list(rules), "drained": drained,
+                "stopped_at": self._clock(),
+                "metrics": self.metrics.snapshot()}
+
+    def counter(self, name: str) -> int | float:
+        """Convenience read of one ``<SCOPE>.*`` counter value."""
+        return self.metrics.counter(f"{self.SCOPE}.{name}").value
+
+    def publish_metrics(self) -> None:
+        """Fold the private registry into the process registry (if on)."""
+        registry = get_registry()
+        if registry is not None:
+            registry.merge(self.metrics)

@@ -157,3 +157,9 @@ class CircuitBreaker:
 
     def open_count(self) -> int:
         return sum(1 for t in self.transitions if t.to_state == OPEN)
+
+    def report(self) -> dict:
+        """JSON-friendly view: state, trips so far, every transition."""
+        return {"state": self.state, "open_count": self.open_count(),
+                "transitions": [(t.at, t.from_state, t.to_state, t.reason)
+                                for t in self.transitions]}

@@ -26,8 +26,8 @@ other shards restart.
 Failure handling lifts the service's machinery to fabric level:
 
 - admission (in-flight bound + token bucket + drain/stop) through the
-  shared :class:`~repro.serve.admission.AdmissionGate`, counted under
-  ``fabric.*``;
+  :class:`~repro.serve.admission.ServingFrame` the service shares,
+  counted under ``fabric.*``;
 - a per-shard :class:`~repro.serve.breaker.CircuitBreaker` — a dead or
   restarting shard *sheds* (:class:`~repro.core.errors.ShardUnavailable`,
   reason ``shard_down``) and trips its breaker instead of blocking the
@@ -60,7 +60,6 @@ supervision recovers it.
 from __future__ import annotations
 
 import dataclasses
-import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,7 +68,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..classifiers import ALGORITHMS, LinearSearchClassifier
-from ..classifiers.updates import UpdatableClassifier
 from ..core.budget import BuildBudget
 from ..core.errors import (
     ConfigurationError,
@@ -79,9 +77,8 @@ from ..core.errors import (
 from ..core.fields import FIELD_WIDTHS
 from ..core.rule import Rule, RuleSet
 from ..npsim.faults import UPDATE_FAULT_KINDS
-from ..obs.metrics import MetricsRegistry, get_registry
-from ..obs.span import NULL_STAGE_TIMER, StageTimer
-from .admission import AdmissionGate
+from ..obs.span import StageTimer
+from .admission import ServingFrame
 from .breaker import CircuitBreaker
 from .policy import ServicePolicy
 from .supervisor import DOWN_PHASES, RUNNING, SupervisionPolicy, Supervisor
@@ -96,6 +93,9 @@ from .transport import (
 
 #: Every ``shed_phase.*`` a shard shed is counted under.
 SHED_PHASES = ("breaker_open", "restarting", "parked", "down", "mid_request")
+#: Delta-chain length at which a shard's base is republished at the
+#: current epoch and its chain reset.
+COMPACT_EVERY = 64
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ class ShardPlan:
         return sum(len(a) for a in self.assignments) / total_rules
 
 
-class Fabric:
+class Fabric(ServingFrame):
     """Front a ruleset with supervised, sharded worker processes.
 
     Thread-safe under the same single-lock discipline as the service:
@@ -178,6 +178,8 @@ class Fabric:
     starts — including every restart — are warm), then spawns the
     workers.
     """
+
+    SCOPE = "fabric"
 
     def __init__(self, rules: Sequence[Rule], snapshot_dir,
                  num_shards: int = 3,
@@ -192,48 +194,26 @@ class Fabric:
                  start: bool = True,
                  stage_timer: StageTimer | None = None,
                  incremental: bool = True,
-                 epoch_history: int = 1024,
-                 compact_every: int = 64) -> None:
+                 epoch_history: int = 1024) -> None:
         """``incremental`` lets shard bases absorb inserts by in-place
         structure edits; ``epoch_history`` bounds how many past epochs
         of linear oracles and per-shard op batches are retained (for
         settled-epoch audits and anti-entropy re-sends — a worker
-        lagging further is reseeded and recycled); ``compact_every``
-        caps a shard's delta-chain length before its base is
-        republished and the chain reset."""
+        lagging further is reseeded and recycled)."""
         if algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {algorithm!r}")
         if epoch_history < 1:
             raise ConfigurationError("epoch_history must be >= 1")
-        if compact_every < 1:
-            raise ConfigurationError("compact_every must be >= 1")
-        self.policy = policy or ServicePolicy()
-        self._clock = clock or time.monotonic
-        self.stages = stage_timer or NULL_STAGE_TIMER
+        super().__init__(policy, clock, stage_timer)
         self._charge = charge
         self._lookup_cost_s = lookup_cost_s
         self.rules = list(rules)
         self.plan = ShardPlan.build(self.rules, num_shards)
-        self.metrics = MetricsRegistry()
-        self._fabric = self.metrics.scope("fabric")
-        bucket = None
-        if self.policy.rate_limit_per_s is not None:
-            from .policy import TokenBucket
-
-            bucket = TokenBucket(self.policy.rate_limit_per_s,
-                                 self.policy.burst, clock=self._clock)
-        self._gate = AdmissionGate(self._fabric, self.policy.max_in_flight,
-                                   bucket=bucket)
-        self._lock = self._gate.lock
-        fabric = self._fabric
-        self._served = fabric.bind("served")
+        fabric = self._scope
         self._epoch_lag = fabric.bind("epoch_lag", "log_histogram")
-        self._latency_us = fabric.bind("latency_us", "log_histogram")
         self._shed_shard_down = fabric.bind("shed.shard_down")
         self._shed_phases = {phase: fabric.bind(f"shed_phase.{phase}")
                              for phase in SHED_PHASES}
-        self._oracle_checks = fabric.bind("oracle.checks")
-        self._oracle_divergences = fabric.bind("oracle.divergences")
         self._oracle_unauditable = fabric.bind("oracle.unauditable")
 
         snapshot_dir = Path(snapshot_dir)
@@ -243,7 +223,6 @@ class Fabric:
         #: Fabric-wide monotonic update epoch (0 = the built base).
         self.epoch = 0
         self._epoch_history_limit = epoch_history
-        self._compact_every = compact_every
         #: Linear oracle per retained epoch (the current one included),
         #: for settled-epoch audits of answers served by lagging workers.
         self._oracles: dict[int, LinearSearchClassifier] = {
@@ -284,7 +263,7 @@ class Fabric:
             policy=supervision,
             clock=self._clock,
             charge=charge,
-            metrics=self._fabric,
+            metrics=self._scope,
             reseed_snapshot=self._reseed_shard,
             stage_timer=self.stages,
         )
@@ -306,13 +285,7 @@ class Fabric:
         """
         base = self._bases.get(spec.name)
         if base is None:
-            ruleset = RuleSet(list(spec.rules), name=f"shard-{spec.name}")
-            base = UpdatableClassifier(
-                ruleset, ALGORITHMS[spec.algorithm],
-                rebuild_threshold=spec.rebuild_threshold,
-                budget=spec.budget, degrade=True,
-                incremental=spec.incremental, **spec.build_params)
-            self._bases[spec.name] = base
+            base = self._bases[spec.name] = spec.build_base()
         spec = self._refresh_spec(spec.name)
         header = write_shard_snapshot(Path(spec.snapshot_path), spec, base)
         self._sweep_deltas(spec.name)
@@ -360,7 +333,7 @@ class Fabric:
     def _reseed_shard(self, spec: ShardSpec) -> None:
         """Supervision callback after a corrupt-snapshot cold start."""
         self._publish_shard(spec)
-        self._fabric.counter("snapshot_reseeds").inc()
+        self._scope.counter("snapshot_reseeds").inc()
 
     # -- live rule updates -------------------------------------------------
 
@@ -439,11 +412,11 @@ class Fabric:
             if "crash_mid_compaction" in armed:
                 armed.remove("crash_mid_compaction")
                 self._compact_shard(name, crash=True)
-            elif len(self._delta_chain[name]["paths"]) >= self._compact_every:
+            elif len(self._delta_chain[name]["paths"]) >= COMPACT_EVERY:
                 self._compact_shard(name)
-        self._fabric.counter("updates_applied").inc(len(ops))
-        self._fabric.counter("epochs").inc()
-        self._fabric.gauge("epoch").set(epoch)
+        self._scope.counter("updates_applied").inc(len(ops))
+        self._scope.counter("epochs").inc()
+        self._scope.gauge("epoch").set(epoch)
         return epoch
 
     def _oracle_at(self, epoch: int) -> LinearSearchClassifier:
@@ -471,7 +444,7 @@ class Fabric:
             raw = bytearray(path.read_bytes())
             raw[-1] ^= 0xFF
             path.write_bytes(bytes(raw))
-            self._fabric.counter("update_faults.corrupt_delta").inc()
+            self._scope.counter("update_faults.corrupt_delta").inc()
 
     def _send_update(self, shard: str, epoch: int, batch: tuple) -> None:
         """Fan one epoch to one worker, applying any armed send fault."""
@@ -480,7 +453,7 @@ class Fabric:
                                   "reorder_update") if k in armed), None)
         if fault is not None:
             armed.remove(fault)
-            self._fabric.counter(f"update_faults.{fault}").inc()
+            self._scope.counter(f"update_faults.{fault}").inc()
         if fault == "lose_update":
             return
         if fault == "reorder_update":
@@ -502,9 +475,9 @@ class Fabric:
         published but the worker is killed before the stale deltas are
         swept — the restart must reject them by base-hash mismatch."""
         self._publish_shard(self._spec(name))
-        self._fabric.counter("delta_compactions").inc()
+        self._scope.counter("delta_compactions").inc()
         if crash:
-            self._fabric.counter("update_faults.crash_mid_compaction").inc()
+            self._scope.counter("update_faults.crash_mid_compaction").inc()
             self.supervisor.recycle(name, "crash_mid_compaction")
 
     def inject_update_fault(self, shard: str, kind: str) -> None:
@@ -538,11 +511,11 @@ class Fabric:
                     if not self.supervisor.send_update(name, e,
                                                        list(history[e]), now):
                         break
-                self._fabric.counter("update_repairs").inc()
+                self._scope.counter("update_repairs").inc()
             else:
                 self._compact_shard(name)
                 self.supervisor.recycle(name, "stale_epoch", now)
-                self._fabric.counter("stale_recycles").inc()
+                self._scope.counter("stale_recycles").inc()
 
     def rebuild_backlog(self) -> int:
         """Un-absorbed update work across the parent's shard bases
@@ -750,39 +723,16 @@ class Fabric:
         with self._lock:
             return self.supervisor.probe(shard, now)
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- lifecycle and reporting --------------------------------------------
 
-    def stop(self, drain: bool = True, snapshot_path=None,
-             drain_timeout_s: float = 5.0) -> dict:
-        """Drain, stop every worker, optionally snapshot fabric state."""
-        self._gate.begin_drain()
-        with self.stages.span("drain"):
-            drained = (self._gate.wait_drained(drain_timeout_s) if drain
-                       else self._gate.in_flight == 0)
-        self._gate.mark_stopped()
-        with self._lock:
-            worker_stats = self.supervisor.stop()
-            state = {
-                "rules": list(self.rules),
-                "drained": drained,
-                "stopped_at": self._clock(),
-                "metrics": self.metrics.snapshot(),
-                "workers": worker_stats,
-                "supervision": self.supervisor.report(),
-            }
-        if snapshot_path is not None:
-            from ..harness.cache import CACHE_VERSION
-            from ..harness.snapshots import write_snapshot
-
-            write_snapshot(snapshot_path, state, kind="fabric-state",
-                           cache_version=CACHE_VERSION)
+    def _final_state(self, drained: bool) -> dict:
+        # Stop the workers first: supervisor.stop() sets
+        # fabric.shards_available, which the metrics snapshot records.
+        workers = self.supervisor.stop()
+        state = self._stopped_state(self.rules, drained)
+        state["workers"] = workers
+        state["supervision"] = self.supervisor.report()
         return state
-
-    # -- reporting ---------------------------------------------------------
-
-    def counter(self, name: str) -> int | float:
-        """Convenience read of one ``fabric.*`` counter value."""
-        return self.metrics.counter(f"fabric.{name}").value
 
     def report(self) -> dict:
         """JSON-friendly view: metrics, breakers, supervision, plan."""
@@ -810,27 +760,9 @@ class Fabric:
                                         self.plan.assignments],
                     "replication_factor": self.plan.replication_factor(),
                 },
-                "breakers": {
-                    name: {
-                        "state": b.state,
-                        "open_count": b.open_count(),
-                        "transitions": [
-                            (t.at, t.from_state, t.to_state, t.reason)
-                            for t in b.transitions
-                        ],
-                    }
-                    for name, b in self.breakers.items()
-                },
+                "breakers": {name: b.report()
+                             for name, b in self.breakers.items()},
                 "supervision": self.supervisor.report(),
-                "outages": [
-                    {"shard": o.shard, "down_at": o.down_at, "up_at": o.up_at,
-                     "why": o.why, "warm": o.warm}
-                    for o in self.supervisor.outages
-                ],
+                "outages": [dataclasses.asdict(o)
+                            for o in self.supervisor.outages],
             }
-
-    def publish_metrics(self) -> None:
-        """Fold the private registry into the process registry (if on)."""
-        registry = get_registry()
-        if registry is not None:
-            registry.merge(self.metrics)

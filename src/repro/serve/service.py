@@ -32,7 +32,9 @@ The service is thread-safe: one lock serialises structure access (the
 overlay/rebuild machinery of :class:`UpdatableClassifier` is not safe
 under concurrent mutation) and a condition variable lets
 :meth:`ClassificationService.stop` drain in-flight requests before
-snapshotting state through :mod:`repro.harness.snapshots`.
+snapshotting state through :mod:`repro.harness.snapshots`.  Admission,
+the lock, the private metrics and ``stop()`` come from the
+:class:`~repro.serve.admission.ServingFrame` the fabric shares.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ from ..core.errors import (
     TransientServiceError,
 )
 from ..core.rule import Rule
-from ..obs.metrics import MetricsRegistry, get_registry
-from ..obs.span import NULL_STAGE_TIMER, StageTimer
-from .admission import AdmissionGate
+from ..obs.span import StageTimer
+from .admission import ServingFrame
 from .breaker import CircuitBreaker
 from .policy import ServicePolicy
 
@@ -94,13 +95,15 @@ class Replica:
         return self.classifier.classify(header)
 
 
-class ClassificationService:
+class ClassificationService(ServingFrame):
     """Front one or more classifier replicas with robustness policy.
 
     ``replicas`` may be :class:`Replica` objects or bare classifiers
     (wrapped and named ``replica0``, ``replica1``, ...).  All updates go
     through the service so every replica sees the same rule list.
     """
+
+    SCOPE = "serve"
 
     def __init__(self, replicas: Sequence[Replica | object],
                  policy: ServicePolicy | None = None,
@@ -109,12 +112,8 @@ class ClassificationService:
                  stage_timer: StageTimer | None = None) -> None:
         if not replicas:
             raise ConfigurationError("need at least one replica")
-        self.policy = policy or ServicePolicy()
-        self._clock = clock or time.monotonic
+        super().__init__(policy, clock, stage_timer)
         self._sleep = sleep or time.sleep
-        # Stage attribution is opt-in: without a timer the shared null
-        # timer makes every span a no-op (see repro.obs.span).
-        self.stages = stage_timer or NULL_STAGE_TIMER
         self.replicas: list[Replica] = []
         for idx, rep in enumerate(replicas):
             if not isinstance(rep, Replica):
@@ -122,15 +121,7 @@ class ClassificationService:
             rep.breaker = CircuitBreaker(self.policy, clock=self._clock,
                                          name=rep.name)
             self.replicas.append(rep)
-        # The serving layer observes itself even when process metrics
-        # are off: its counters are the interface the acceptance checks
-        # (zero divergences, nonzero sheds) read.
-        self.metrics = MetricsRegistry()
-        serve = self.metrics.scope("serve")
-        # Bound once, resolved on first use: a request pays no name
-        # lookup, and an unused counter stays out of the snapshot.
-        self._served = serve.bind("served")
-        self._latency_us = serve.bind("latency_us", "log_histogram")
+        serve = self._scope
         self._retries = serve.bind("retries")
         self._retries_exhausted = serve.bind("retries_exhausted")
         self._transient_failures = serve.bind("transient_failures")
@@ -140,20 +131,6 @@ class ClassificationService:
         self._shadow_checks = serve.bind("shadow.checks")
         self._shadow_errors = serve.bind("shadow.errors")
         self._shadow_divergences = serve.bind("shadow.divergences")
-        self._oracle_checks = serve.bind("oracle.checks")
-        self._oracle_divergences = serve.bind("oracle.divergences")
-        bucket = None
-        if self.policy.rate_limit_per_s is not None:
-            from .policy import TokenBucket
-
-            bucket = TokenBucket(self.policy.rate_limit_per_s,
-                                 self.policy.burst, clock=self._clock)
-        # Admission (shed early, shed typed) is shared with the fabric;
-        # the gate owns the lock so structure access below serialises
-        # under the same lock admission decisions take.
-        self._gate = AdmissionGate(serve, self.policy.max_in_flight,
-                                   bucket=bucket)
-        self._lock = self._gate.lock
 
     # -- the request pipeline ---------------------------------------------
 
@@ -351,55 +328,18 @@ class ClassificationService:
                 if poll is not None:
                     poll()
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- lifecycle and reporting --------------------------------------------
 
-    def stop(self, drain: bool = True, snapshot_path=None,
-             drain_timeout_s: float = 5.0) -> dict:
-        """Stop serving: drain in-flight requests, reject new ones.
-
-        With ``drain=True`` new requests are shed (``stopping``) while
-        in-flight ones finish; ``drain_timeout_s`` bounds the wait in
-        *real* seconds (drain waits on OS threads, so the injectable
-        clock deliberately does not govern it).  With ``snapshot_path``
-        set, final state — the live rule list and the service's metric
-        counters — is persisted through the verified snapshot store, so
-        a restart can rebuild exactly what was serving.
-
-        Returns a summary dict (also the snapshot payload).
-        """
-        with self._lock:
-            self._gate.begin_drain()
-            with self.stages.span("drain"):
-                drained = (self._gate.wait_drained(drain_timeout_s) if drain
-                           else self._gate.in_flight == 0)
-            self._gate.mark_stopped()
-            state = {
-                "rules": list(self.replicas[0].classifier.rules),
-                "drained": drained,
-                "stopped_at": self._clock(),
-                "metrics": self.metrics.snapshot(),
-                "replicas": {
-                    r.name: {
-                        "breaker": r.breaker.state,
-                        "degradation": getattr(r.classifier, "degradation",
-                                               None),
-                    }
-                    for r in self.replicas
-                },
+    def _final_state(self, drained: bool) -> dict:
+        state = self._stopped_state(self.replicas[0].classifier.rules, drained)
+        state["replicas"] = {
+            r.name: {
+                "breaker": r.breaker.state,
+                "degradation": getattr(r.classifier, "degradation", None),
             }
-        if snapshot_path is not None:
-            from ..harness.cache import CACHE_VERSION
-            from ..harness.snapshots import write_snapshot
-
-            write_snapshot(snapshot_path, state, kind="serve-state",
-                           cache_version=CACHE_VERSION)
+            for r in self.replicas
+        }
         return state
-
-    # -- reporting ---------------------------------------------------------
-
-    def counter(self, name: str) -> int | float:
-        """Convenience read of one ``serve.*`` counter value."""
-        return self.metrics.counter(f"serve.{name}").value
 
     def report(self) -> dict:
         """JSON-friendly view: metrics plus per-replica breaker history."""
@@ -408,21 +348,10 @@ class ClassificationService:
                 "metrics": self.metrics.snapshot(),
                 "replicas": {
                     r.name: {
-                        "state": r.breaker.state,
-                        "open_count": r.breaker.open_count(),
-                        "transitions": [
-                            (t.at, t.from_state, t.to_state, t.reason)
-                            for t in r.breaker.transitions
-                        ],
+                        **r.breaker.report(),
                         "degradation": getattr(r.classifier, "degradation",
                                                None),
                     }
                     for r in self.replicas
                 },
             }
-
-    def publish_metrics(self) -> None:
-        """Fold the private registry into the process registry (if on)."""
-        registry = get_registry()
-        if registry is not None:
-            registry.merge(self.metrics)

@@ -180,7 +180,6 @@ class Supervisor:
                  charge: Callable[[float], None] | None = None,
                  metrics: MetricsRegistry | MetricScope | None = None,
                  reseed_snapshot: Callable[[ShardSpec], None] | None = None,
-                 start_method: str = "fork",
                  stage_timer: StageTimer | None = None) -> None:
         if not specs:
             raise ConfigurationError("need at least one shard spec")
@@ -192,7 +191,8 @@ class Supervisor:
         #: Simulated-cost sink (``ManualClock.advance`` in soaks); with a
         #: real clock the spawn itself already consumed the time.
         self._charge = charge
-        self._ctx = multiprocessing.get_context(start_method)
+        # Forked: a spec reaches its worker by fork-time inheritance.
+        self._ctx = multiprocessing.get_context("fork")
         self._reseed = reseed_snapshot
         self._stages = stage_timer or NULL_STAGE_TIMER
         if metrics is None:
@@ -395,13 +395,11 @@ class Supervisor:
         if pong is None:
             self._scope.counter("heartbeat_misses").inc()
             handle.heartbeat_misses_now += 1
+            # Not RUNNING here: _await saw EOF and declared the death.
             if (handle.state == RUNNING
                     and handle.heartbeat_misses_now
                     >= self.policy.liveness_misses):
                 self._note_death(handle, now, "liveness")
-            elif handle.state != RUNNING:
-                # _await saw EOF and already declared the death.
-                pass
             return False
         handle.heartbeat_misses_now = 0
         stats = pong[2] if len(pong) > 2 and isinstance(pong[2], dict) else {}

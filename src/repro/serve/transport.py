@@ -154,6 +154,15 @@ class ShardSpec:
         if len(self.rules) != len(self.global_map):
             raise ValueError("global_map must cover every shard rule")
 
+    def build_base(self) -> UpdatableClassifier:
+        """Build the shard's structure from its rules: the parent's kept
+        base and a worker's cold start are this one build."""
+        ruleset = RuleSet(list(self.rules), name=f"shard-{self.name}")
+        return UpdatableClassifier(
+            ruleset, ALGORITHMS[self.algorithm],
+            rebuild_threshold=self.rebuild_threshold, budget=self.budget,
+            degrade=True, incremental=self.incremental, **self.build_params)
+
 
 def write_shard_snapshot(path: Path, spec: ShardSpec, base):
     """Publish one shard's build as a verified snapshot.
@@ -189,30 +198,27 @@ def apply_shard_ops(classifier, global_map: list[int], ops) -> None:
         kind = op[0]
         if kind == "insert":
             _, local_pos, rule, global_pos = op
-            for i, g in enumerate(global_map):
-                if g >= global_pos:
-                    global_map[i] = g + 1
+            _shift(global_map, global_pos, 1)
             global_map.insert(local_pos, global_pos)
             classifier.insert(rule, local_pos)
         elif kind == "remove":
             _, local_pos, global_pos = op
             classifier.remove(local_pos)
             del global_map[local_pos]
-            for i, g in enumerate(global_map):
-                if g > global_pos:
-                    global_map[i] = g - 1
+            _shift(global_map, global_pos, -1)
         elif kind == "shift":
-            _, global_pos, delta = op
-            if delta > 0:
-                for i, g in enumerate(global_map):
-                    if g >= global_pos:
-                        global_map[i] = g + delta
-            else:
-                for i, g in enumerate(global_map):
-                    if g > global_pos:
-                        global_map[i] = g + delta
+            _shift(global_map, op[1], op[2])
         else:
             raise UpdateError(f"unknown shard op kind {kind!r}")
+
+
+def _shift(global_map: list[int], global_pos: int, delta: int) -> None:
+    """Renumber the global indices an insert at (``delta > 0``) or a
+    removal of (``delta < 0``) global position ``global_pos`` moves."""
+    first = global_pos if delta > 0 else global_pos + 1
+    for i, g in enumerate(global_map):
+        if g >= first:
+            global_map[i] = g + delta
 
 
 def _load_or_build(spec: ShardSpec) -> tuple[object, list[int], int, dict]:
@@ -266,14 +272,9 @@ def _load_or_build(spec: ShardSpec) -> tuple[object, list[int], int, dict]:
             quarantine(path, exc.reason)
             info["quarantined"] = True
             info["quarantine_reason"] = exc.reason
-    ruleset = RuleSet(list(spec.rules), name=f"shard-{spec.name}")
     global_map = list(spec.global_map)
     try:
-        classifier = UpdatableClassifier(
-            ruleset, ALGORITHMS[spec.algorithm],
-            rebuild_threshold=spec.rebuild_threshold,
-            budget=spec.budget, degrade=True,
-            incremental=spec.incremental, **spec.build_params)
+        classifier = spec.build_base()
         info["degradation"] = classifier.degradation
         return classifier, global_map, spec.epoch, info
     except ReproError as exc:
@@ -282,6 +283,7 @@ def _load_or_build(spec: ShardSpec) -> tuple[object, list[int], int, dict]:
         # shard that stays dark.
         info["degradation"] = "linear"
         info["build_error"] = repr(exc)
+        ruleset = RuleSet(list(spec.rules), name=f"shard-{spec.name}")
         return LinearSearchClassifier(ruleset), global_map, spec.epoch, info
 
 

@@ -12,8 +12,8 @@ def _registry():
     registry.gauge("fabric.shards_available").set(3)
     for value in (60.0, 60.0, 90.0, 250.0):
         registry.log_histogram("serve.latency_us").observe(value)
-    registry.histogram("lookup.depth").observe(4)
-    registry.histogram("lookup.depth").observe(6)
+    registry.log_histogram("lookup.depth").observe(4)
+    registry.log_histogram("lookup.depth").observe(6)
     return registry
 
 
@@ -42,10 +42,12 @@ class TestPrometheusRender:
         assert "repro_serve_latency_us_count 4" in text
         assert "repro_serve_latency_us_sum 460" in text
 
-    def test_exact_histogram_uses_integer_edges(self):
+    def test_buckets_close_at_log_bucket_upper_edges(self):
+        # 4 and 6 fall in the 1.04-growth buckets [1.04**35, 1.04**36)
+        # and [1.04**45, 1.04**46).
         text = render_prometheus(_registry())
-        assert 'repro_lookup_depth_bucket{le="4"} 1' in text
-        assert 'repro_lookup_depth_bucket{le="6"} 2' in text
+        assert 'repro_lookup_depth_bucket{le="4.10393"} 1' in text
+        assert 'repro_lookup_depth_bucket{le="6.07482"} 2' in text
 
     def test_rendering_is_deterministic(self):
         assert render_prometheus(_registry()) == \

@@ -157,17 +157,13 @@ class TestMerge:
         assert left._sum == pytest.approx(right._sum)
         assert left.min == right.min and left.max == right.max
 
-    def test_registry_merge_dispatches_by_kind(self):
+    def test_registry_merge_folds_log_histograms(self):
         parent, child = MetricsRegistry(), MetricsRegistry()
+        parent.log_histogram("latency_us").observe(7.0)
         child.log_histogram("latency_us").observe(42.0)
-        child.histogram("depth").observe(3)
+        child.log_histogram("depth").observe(3)
         parent.merge(child)
         assert isinstance(parent.histograms["latency_us"], LogHistogram)
-        assert parent.log_histogram("latency_us").total == 1
-        assert parent.histogram("depth").total == 1
-
-    def test_kind_collision_raises(self):
-        registry = MetricsRegistry()
-        registry.log_histogram("latency_us")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.histogram("latency_us")
+        assert parent.log_histogram("latency_us").total == 2
+        assert parent.log_histogram("latency_us").max == 42.0
+        assert parent.log_histogram("depth").total == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import (
-    Histogram,
+    LogHistogram,
     MetricsRegistry,
     disable_metrics,
     enable_metrics,
@@ -33,11 +33,11 @@ class TestDisabledState:
         # All instrument types collapse to the one null instrument.
         assert scope.counter("c") is _NULL
         assert scope.gauge("g") is _NULL
-        assert scope.histogram("h") is _NULL
+        assert scope.log_histogram("h") is _NULL
         # And every operation is a no-op, not an error.
         scope.counter("c").inc()
         scope.gauge("g").set(1.0)
-        scope.histogram("h").observe(5)
+        scope.log_histogram("h").observe(5)
 
 
 class TestEnabledRegistry:
@@ -57,7 +57,7 @@ class TestEnabledRegistry:
         reg = enable_metrics()
         assert reg.counter("a") is reg.counter("a")
         assert reg.gauge("b") is reg.gauge("b")
-        assert reg.histogram("c") is reg.histogram("c")
+        assert reg.log_histogram("c") is reg.log_histogram("c")
 
     def test_counter_and_gauge(self):
         reg = enable_metrics()
@@ -104,37 +104,43 @@ class TestEnabledRegistry:
         reg = enable_metrics()
         reg.counter("packets").inc(7)
         reg.gauge("busy").set(0.5)
-        reg.histogram("depth").observe(13)
+        reg.log_histogram("depth").observe(13)
         text = reg.render()
         assert "packets" in text and "busy" in text and "depth" in text
 
 
 class TestHistogram:
+    """The registry's one histogram kind on the small integers the
+    traced-lookup histograms record (depths, access counts)."""
+
     def test_stats(self):
-        h = Histogram("depth")
+        h = LogHistogram("depth")
         for v in (13, 13, 13, 7, 5):
             h.observe(v)
         assert h.total == 5
-        assert h.max == 13
+        assert h.max == 13 and h.min == 5
         assert h.mean == pytest.approx(51 / 5)
-        assert h.counts == {13: 3, 7: 1, 5: 1}
+        assert sorted(h.counts.values()) == [1, 1, 3]  # 4% buckets
+        assert h.percentile(0.5) == 13  # clamped to the exact max
 
     def test_percentile(self):
-        h = Histogram("x")
+        h = LogHistogram("x")
         for v in range(1, 101):
             h.observe(v)
-        assert h.percentile(0.5) == 50
-        assert h.percentile(0.99) == 99
+        assert h.percentile(0.5) == pytest.approx(50, rel=0.02)
+        assert h.percentile(0.99) == pytest.approx(99, rel=0.02)
         assert h.percentile(1.0) == 100
 
     def test_empty(self):
-        h = Histogram("x")
+        h = LogHistogram("x")
         assert h.mean == 0.0 and h.max == 0.0 and h.percentile(0.5) == 0.0
 
     def test_to_dict_keys_are_strings(self):
-        h = Histogram("x")
+        h = LogHistogram("x")
         h.observe(3)
-        assert h.to_dict()["counts"] == {"3": 1}
+        buckets = h.to_dict()["buckets"]
+        assert list(buckets.values()) == [1]
+        assert all(isinstance(key, str) for key in buckets)
 
 
 def test_registry_isolated_per_enable():

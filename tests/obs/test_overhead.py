@@ -62,7 +62,7 @@ class TestDisabledOverhead:
         # same preallocated objects.
         assert NULL_STAGE_TIMER.span("a") is NULL_STAGE_TIMER.span("b")
         assert _NULL_SCOPE.counter("x") is _NULL_SCOPE.counter("y")
-        assert _NULL_SCOPE.log_histogram("x") is _NULL_SCOPE.histogram("y")
+        assert _NULL_SCOPE.log_histogram("x") is _NULL_SCOPE.gauge("y")
 
     def test_overhead_within_three_percent(self):
         _bare_batch(), _instrumented_batch()  # warm up both paths

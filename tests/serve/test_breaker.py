@@ -132,6 +132,22 @@ class TestHistory:
         breaker.record_failure()  # reopen
         assert breaker.open_count() == 2
 
+    def test_report(self, breaker, clock):
+        assert breaker.report() == {"state": CLOSED, "open_count": 0,
+                                    "transitions": []}
+        clock.advance(1.5)
+        fail_until_open(breaker)
+        clock.advance(POLICY.open_s)
+        assert breaker.allow()
+        report = breaker.report()
+        assert list(report) == ["state", "open_count", "transitions"]
+        assert report == {
+            "state": HALF_OPEN,
+            "open_count": 1,
+            "transitions": [(1.5, CLOSED, OPEN, "failure rate 4/4"),
+                            (2.5, OPEN, HALF_OPEN, "cool-down elapsed")],
+        }
+
 
 class TestHalfOpenRace:
     """Seeded multi-thread hammering around the OPEN→HALF_OPEN→* edges.

@@ -9,10 +9,14 @@ they are in flight (shed ``queue_full``).  The SHA-256 digests of the
 service report and of the guard's registry snapshot pin every counter,
 histogram bucket and breaker transition of the scenario, so a change
 to the per-request path must leave all of them exactly as they are.
+The digest of the pickled ``stop()`` state (the ``serve-state``
+snapshot's payload) pins the stop payload and its key order the same
+way.
 """
 
 import hashlib
 import json
+import pickle
 
 from repro.classifiers import ALGORITHMS
 from repro.classifiers.updates import UpdatableClassifier
@@ -22,6 +26,7 @@ from repro.core.errors import (
     ReproError,
     TransientServiceError,
 )
+from repro.harness.snapshots import read_header
 from repro.obs.metrics import MetricsRegistry
 from repro.rulesets import PROFILES, generate
 from repro.serve import (
@@ -53,6 +58,8 @@ SERVICE_DIGEST = (
     "99b10c2720e3f5211701d8b3414b7e64dd69806257694634b92530a86d635620")
 GUARD_DIGEST = (
     "3ff84a43ad611ae3122a26269e273064fee9c43f9195d9a48b2eb500401bc54b")
+STOP_DIGEST = (
+    "530b8489d522fc9909db3bc5f9e60c43c09bdd2bfcddcec2040772ef37ce3869")
 
 
 def _ruleset():
@@ -143,6 +150,19 @@ def test_report_and_guard_snapshot_pinned():
     service, guard_registry, _ = run_scenario()
     assert _digest(service.report()) == SERVICE_DIGEST
     assert _digest(guard_registry.snapshot()) == GUARD_DIGEST
+
+
+def test_stop_state_pinned(tmp_path):
+    service, _, _ = run_scenario()
+    path = tmp_path / "serve.state"
+    state = service.stop(snapshot_path=path)
+    assert list(state) == ["rules", "drained", "stopped_at", "metrics",
+                           "replicas"]
+    digest = hashlib.sha256(
+        pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)).hexdigest()
+    assert digest == STOP_DIGEST
+    header, _ = read_header(path)
+    assert header.kind == "serve-state" and header.sha256 == STOP_DIGEST
 
 
 def test_fresh_service_has_no_instruments():
