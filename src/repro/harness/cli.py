@@ -103,7 +103,8 @@ def _main(argv: list[str] | None = None) -> int:
                              "DIR/<experiment>.json")
     profile_group = parser.add_argument_group(
         "profile options",
-        "only honoured by the 'profile' and 'perf-report' experiments")
+        "--algorithms and --ruleset are only honoured by the 'profile' "
+        "experiment, --out by 'profile' and 'serve-soak'")
     profile_group.add_argument("--algorithms", default=None,
                                help="comma-separated algorithm list "
                                     "(default: expcuts,hicuts)")
@@ -111,8 +112,9 @@ def _main(argv: list[str] | None = None) -> int:
                                help="rule set to profile (default: CR04, "
                                     "CR01 with --quick)")
     profile_group.add_argument("--out", default="results",
-                               help="directory for profile/perf-report "
-                                    "artifacts (default: results/)")
+                               help="directory for the profile and "
+                                    "serve-soak artifacts "
+                                    "(default: results/)")
     soak_group = parser.add_argument_group(
         "soak options",
         "only honoured by the 'serve-soak' and 'chaos-soak' experiments")
@@ -156,12 +158,7 @@ def _main(argv: list[str] | None = None) -> int:
                 return 2
             result = run_profile(quick=args.quick, algorithms=algorithms,
                                  ruleset=args.ruleset, out_dir=args.out)
-        elif name == "perf-report" and args.out != "results":
-            from .soak import PERF_REPORT, run_soak
-
-            result = run_soak(replace(PERF_REPORT, out_dir=args.out),
-                              quick=args.quick)
-        elif args.scenario is not None:
+        elif args.scenario is not None or name == "serve-soak":
             from ..traffic.scenarios import SCENARIOS
             from .soak import SPECS, run_soak
 
@@ -169,12 +166,13 @@ def _main(argv: list[str] | None = None) -> int:
                 print(f"--scenario is only honoured by serve-soak and "
                       f"chaos-soak, not {name!r}", file=sys.stderr)
                 return 2
-            if args.scenario not in SCENARIOS:
+            if args.scenario not in (None, *SCENARIOS):
                 print(_unknown(args.scenario, SCENARIOS, "scenario"),
                       file=sys.stderr)
                 return 2
-            result = run_soak(SPECS[name], quick=args.quick,
-                              scenario=args.scenario)
+            # Only serve-soak exports artifacts; other specs ignore out_dir.
+            result = run_soak(replace(SPECS[name], out_dir=args.out),
+                              quick=args.quick, scenario=args.scenario)
         else:
             result = run_experiment(name, quick=args.quick)
         print(result.text)

@@ -52,7 +52,10 @@ REGISTRY: dict[str, tuple[str, str]] = {
                    "Resilience: throughput under injected SRAM channel loss"),
     "serve-soak": ("repro.harness.soak",
                    "Serve-soak: the serving layer under bursty overload, "
-                   "faults and live updates (writes BENCH_serve_soak.json)"),
+                   "faults and live updates, with stage attribution, "
+                   "latency histograms and SLO burn rates "
+                   "(writes results/perf_report_*.json|.prom and "
+                   "BENCH_serve_soak.json)"),
     "chaos-soak": ("repro.harness.soak",
                    "Chaos-soak: the multi-process fabric under worker "
                    "kills, hangs and snapshot corruption "
@@ -68,11 +71,6 @@ REGISTRY: dict[str, tuple[str, str]] = {
     "profile": ("repro.harness.profile",
                 "Profile: lookup depth/access histograms, hot nodes and "
                 "DES timeline export (writes results/profile_*.json)"),
-    "perf-report": ("repro.harness.soak",
-                    "Perf-report: pipeline stage attribution, log-bucketed "
-                    "latency histograms and SLO burn rates "
-                    "(writes results/perf_report_*.json|.prom and "
-                    "BENCH_perf_report.json)"),
 }
 
 

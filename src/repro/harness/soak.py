@@ -1,4 +1,4 @@
-"""The soak experiments: five specs run by one simulated-clock driver.
+"""The soak experiments: four specs run by one simulated-clock driver.
 
 Not paper figures: these experiments hold the serving stack built on
 ExpCuts to the paper's standard — every answer exact — while something
@@ -15,15 +15,19 @@ fights it.  Each is a :class:`SoakSpec` run by :func:`run_soak`:
   until the recovery window ends, exercising retry, failover and the
   half-open probe cycle; and mid-soak inserts/removes plus periodic
   :meth:`~repro.serve.service.ClassificationService.poll` ticks, so
-  rebuilds happen while traffic flows.
+  rebuilds happen while traffic flows.  Its scenario-free run also
+  exports itself to ``<out_dir>/perf_report_<ruleset>.json`` (the stage
+  breakdown, log-bucketed latency histograms and the SLO burn-rate
+  report with its per-window timeseries) and ``.prom`` (Prometheus text
+  exposition).  Neither holds wall times, hostnames or dates.
 * **chaos-soak** — a :class:`~repro.serve.fabric.Fabric` (three
   supervised ``ExpCuts`` shard workers, range-partitioned on source IP)
   through a seeded schedule of process-level faults while bursty
   traffic flows: worker kills (SIGKILL, detected by pipe EOF, warm
   restart from the shard's content-verified snapshot); a corrupt-snapshot
   restart (the published snapshot is bit-flipped on disk before the
-  kill, so the restart must quarantine it, rebuild cold under the build
-  budget, and the fabric re-publishes a healthy image); a hang (the
+  kill, so the restart must quarantine it and rebuild cold, and the
+  fabric re-publishes a healthy image); a hang (the
   worker stays alive but stops answering, and only the heartbeat
   liveness deadline can catch it); and a slow start (the next restart's
   simulated cost is stretched, widening the recovery window).
@@ -53,11 +57,6 @@ fights it.  Each is a :class:`SoakSpec` run by :func:`run_soak`:
   ACK scan of distinct 5-tuples whose exact-match flow-cache collapse is
   visible per traffic class; and ``worst-case``, headers mined from
   ``DecisionTrace`` output to saturate the tree depth.
-* **perf-report** — serve-soak's traffic and faults without the churn,
-  rolled up into ``results/perf_report_<ruleset>.json`` (the stage
-  breakdown, log-bucketed latency histograms and the SLO burn-rate report
-  with its per-window timeseries) and ``.prom`` (Prometheus text
-  exposition).  Neither holds wall times, hostnames or dates.
 
 A spec is data: topology, traffic, fault plan, update stream (a
 per-packet hook), SLO set, acceptance checks (its report hook raises)
@@ -314,9 +313,8 @@ class SoakRun:
             self.target = Fabric(
                 list(self.ruleset), snapshot_dir, num_shards=3,
                 policy=spec.policy, supervision=SUPERVISION,
-                algorithm="expcuts", clock=self.clock,
-                charge=self.clock.advance, lookup_cost_s=LOOKUP_S,
-                stage_timer=self.timer)
+                clock=self.clock, charge=self.clock.advance,
+                lookup_cost_s=LOOKUP_S, stage_timer=self.timer)
         else:
             expcuts = ALGORITHMS["expcuts"]
             replicas = [
@@ -410,7 +408,8 @@ def run_soak(spec: SoakSpec, quick: bool = False,
             ["Stage", "Time", "Share"],
             run.timer.table_rows(run.span_s),
         )
-        footer += (f"\nSLOs: {fields['slo_compliant']}/{fields['slo_total']} "
+        slos = fields["slo"].values()
+        footer += (f"\nSLOs: {sum(s['compliant'] for s in slos)}/{len(slos)} "
                    f"compliant over {fields['slo_windows']} windows of "
                    f"{run.monitor.window_s * 1e3:.0f} ms")
     text = render_table(heading, ["Quantity", "Value", "Note"], rows)
@@ -559,8 +558,6 @@ def _shared_fields(run: SoakRun) -> dict:
                    "compliant": s["compliant"]}
             for name, s in slos.items()
         },
-        "slo_compliant": sum(1 for s in slos.values() if s["compliant"]),
-        "slo_total": len(slos),
         "slo_windows": run.slo_report["windows"],
     }
 
@@ -596,7 +593,7 @@ def _supervision(report: dict) -> dict:
             for name, s in report["supervision"].items()}
 
 
-# -- serve-soak and perf-report: the service under overload and faults ----
+# -- serve-soak: the service under overload and faults --------------------
 
 #: The acceptance bar as burn-rate SLOs per time window.  Latency
 #: objectives judge request-level latency (admission to answer, retries
@@ -726,6 +723,9 @@ def _serve_report(runs: list[SoakRun]) -> Report:
     note = ("\nEvery answer audited against the linear oracle; "
             f"final state snapshot: {run.spec.state_snapshot} "
             f"(drained={run.state['drained']})")
+    if run.strace is None:
+        json_path, prom_path = _export(run)
+        note += f"\nArtifacts: {json_path}, {prom_path}"
     return Report(
         metrics, extra,
         _heading(run, "Serve-soak: bursty overload + fault plan"), rows, note,
@@ -735,24 +735,9 @@ def _serve_report(runs: list[SoakRun]) -> Report:
                       for name, rep in report["replicas"].items()}})
 
 
-def _json_safe(obj):
-    """Replace non-finite floats (an SLO's infinite burn rate) with
-    ``None`` so the artifact stays strict JSON."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    return obj
-
-
-def _perf_report(runs: list[SoakRun]) -> Report:
-    """Export the run as the bit-reproducible JSON and Prometheus
-    artifacts; ``scripts/bench_trend.py`` renders the BENCH history."""
-    (run,) = runs
-    attempt = run.target.metrics.log_histogram("serve.latency_us")
-    request = run.request_latency
+def _export(run: SoakRun) -> tuple[Path, Path]:
+    """Write the run's artifacts (see the module docstring) to the
+    spec's ``out_dir``; returns their paths."""
     out = Path(run.spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = _json_safe({
@@ -765,8 +750,9 @@ def _perf_report(runs: list[SoakRun]) -> Report:
         "goodput_kpps": round(run.goodput_kpps, 3),
         "stage_attribution": run.attribution,
         "histograms": {
-            "attempt_latency_us": attempt.to_dict(),
-            "request_latency_us": request.to_dict(),
+            "attempt_latency_us":
+                run.target.metrics.log_histogram("serve.latency_us").to_dict(),
+            "request_latency_us": run.request_latency.to_dict(),
         },
         "slo": run.slo_report,
         "counters": dict(sorted(run.counters.items())),
@@ -775,26 +761,19 @@ def _perf_report(runs: list[SoakRun]) -> Report:
     json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     prom_path = write_prometheus(run.target.metrics,
                                  out / f"perf_report_{run.ruleset_name}.prom")
+    return json_path, prom_path
 
-    served = run.outcomes["served"]
-    metrics = {
-        "goodput_kpps": round(run.goodput_kpps, 3),
-        "served_fraction": round(served / run.packets, 4),
-    }
-    rows = [
-        _latency_row("attempt p50 / p99 / p99.9", attempt,
-                     f"{attempt.total} attempts"),
-        _latency_row("request p50 / p99 / p99.9", request,
-                     "retries and backoff included"),
-        ("request max", f"{request.max:.0f} µs",
-         f"exact (not a bucket edge); {served} served"),
-    ]
-    note = (f"\nArtifacts: {json_path} (breakdown, histograms, per-window "
-            f"timeseries), {prom_path} (Prometheus text exposition)")
-    return Report(
-        metrics, {},
-        _heading(run, "Perf-report: log-bucketed latency histograms"), rows,
-        note, {"artifacts": [str(json_path), str(prom_path)]})
+
+def _json_safe(obj):
+    """Replace non-finite floats (an SLO's infinite burn rate) with
+    ``None`` so the artifact stays strict JSON."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
 
 
 # -- chaos-soak: the fabric under worker-level chaos ----------------------
@@ -1381,7 +1360,7 @@ def _adversarial_report(runs: list[SoakRun]) -> Report:
     return Report(metrics, extra, heading, rows, note, {})
 
 
-# -- the five specs ---------------------------------------------------------
+# -- the four specs -------------------------------------------------------
 
 SERVE_SOAK = SoakSpec(
     experiment="serve-soak",
@@ -1399,20 +1378,6 @@ SERVE_SOAK = SoakSpec(
     extras=("packets_offered", "served", *_LATENCY, *_REQUEST_LATENCY,
             "oracle_checks", "oracle_divergences", "drained", "sim_span_s",
             *_STAGES_AND_SLOS),
-)
-
-#: serve-soak's traffic, faults and SLOs without the churn, exported.
-PERF_REPORT = replace(
-    SERVE_SOAK,
-    experiment="perf-report",
-    title="Stage attribution, latency histograms and SLO burn rates",
-    report=_perf_report,
-    setup=None,
-    hooks=(),
-    state_snapshot=None,
-    extras=("packets_offered", "served", "shed", *_LATENCY[:3],
-            *_REQUEST_LATENCY, "stage_breakdown", "stage_coverage",
-            "slo_compliant", "slo_total", "slo_windows", "sim_span_s"),
     out_dir="results",
 )
 
@@ -1483,5 +1448,4 @@ ADVERSARIAL_SOAK = SoakSpec(
 
 #: Experiment id -> spec (the harness registry runs these).
 SPECS = {spec.experiment: spec
-         for spec in (SERVE_SOAK, CHAOS_SOAK, ADVERSARIAL_SOAK, UPDATE_STORM,
-                      PERF_REPORT)}
+         for spec in (SERVE_SOAK, CHAOS_SOAK, ADVERSARIAL_SOAK, UPDATE_STORM)}

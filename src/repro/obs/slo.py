@@ -21,7 +21,7 @@ same service:
 Latency quantiles come from a per-window
 :class:`~repro.obs.metrics.LogHistogram`, so a window's p99 is a real
 tail reading, not an integer bucket edge.  The per-window metric rows
-double as the run's timeseries artifact (``results/perf_report_*``).
+double as serve-soak's timeseries artifact (``results/perf_report_*``).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ import threading
 import time
 from typing import Callable
 
-from ..core.errors import AdmissionRejected, ConfigurationError, ServiceStopped
+from ..core.errors import AdmissionRejected, ServiceStopped
 from ..obs.metrics import MetricScope, MetricsRegistry, get_registry
 from ..obs.span import NULL_STAGE_TIMER, StageTimer
 from .policy import ServicePolicy, TokenBucket
@@ -39,19 +39,18 @@ class AdmissionGate:
     The decision order is fixed and documented behaviour: stopped →
     stopping → queue_full → rate_limited.  A request shed for being
     over the in-flight bound must not also consume a token.
+    ``max_in_flight`` is at least 1, as :class:`ServicePolicy` checks.
     """
 
     def __init__(self, scope: MetricScope, max_in_flight: int,
-                 bucket=None, lock: threading.RLock | None = None) -> None:
-        if max_in_flight < 1:
-            raise ConfigurationError("max_in_flight must be >= 1")
+                 bucket=None) -> None:
         self._requests = scope.bind("requests")
         self._admitted = scope.bind("admitted")
         self._sheds = {reason: scope.bind(f"shed.{reason}")
                        for reason in SHED_REASONS}
         self._max_in_flight = max_in_flight
         self._bucket = bucket
-        self.lock = lock or threading.RLock()
+        self.lock = threading.RLock()
         self._cond = threading.Condition(self.lock)
         self._in_flight = 0
         self._seq = 0
@@ -62,16 +61,6 @@ class AdmissionGate:
     def in_flight(self) -> int:
         with self.lock:
             return self._in_flight
-
-    @property
-    def stopped(self) -> bool:
-        with self.lock:
-            return self._stopped
-
-    @property
-    def draining(self) -> bool:
-        with self.lock:
-            return self._draining
 
     def admit(self, tokens: float = 1.0) -> int:
         """Shed or admit; returns the request sequence number.

@@ -67,8 +67,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..classifiers import ALGORITHMS, LinearSearchClassifier
-from ..core.budget import BuildBudget
+from ..classifiers import LinearSearchClassifier
 from ..core.errors import (
     ConfigurationError,
     ShardUnavailable,
@@ -185,23 +184,16 @@ class Fabric(ServingFrame):
                  num_shards: int = 3,
                  policy: ServicePolicy | None = None,
                  supervision: SupervisionPolicy | None = None,
-                 algorithm: str = "expcuts",
-                 build_params: dict | None = None,
-                 budget: BuildBudget | None = None,
                  clock: Callable[[], float] | None = None,
                  charge: Callable[[float], None] | None = None,
                  lookup_cost_s: float = 0.0,
-                 start: bool = True,
                  stage_timer: StageTimer | None = None,
-                 incremental: bool = True,
                  epoch_history: int = 1024) -> None:
-        """``incremental`` lets shard bases absorb inserts by in-place
-        structure edits; ``epoch_history`` bounds how many past epochs
-        of linear oracles and per-shard op batches are retained (for
+        """Every shard serves an incremental ExpCuts build with default
+        parameters.  ``epoch_history`` bounds how many past epochs of
+        linear oracles and per-shard op batches are retained (for
         settled-epoch audits and anti-entropy re-sends — a worker
         lagging further is reseeded and recycled)."""
-        if algorithm not in ALGORITHMS:
-            raise ConfigurationError(f"unknown algorithm {algorithm!r}")
         if epoch_history < 1:
             raise ConfigurationError("epoch_history must be >= 1")
         super().__init__(policy, clock, stage_timer)
@@ -218,8 +210,6 @@ class Fabric(ServingFrame):
 
         snapshot_dir = Path(snapshot_dir)
         snapshot_dir.mkdir(parents=True, exist_ok=True)
-        build_params = dict(build_params or {})
-        self.incremental = incremental
         #: Fabric-wide monotonic update epoch (0 = the built base).
         self.epoch = 0
         self._epoch_history_limit = epoch_history
@@ -247,10 +237,7 @@ class Fabric(ServingFrame):
                 rules=tuple(self.rules[g] for g in assignment),
                 global_map=tuple(assignment),
                 snapshot_path=str(snapshot_dir / f"{name}.snap"),
-                algorithm=algorithm,
-                build_params=build_params,
-                budget=budget,
-                incremental=incremental,
+                incremental=True,
             )
             self.specs.append(spec)
             self._shard_map[name] = list(assignment)
@@ -267,8 +254,7 @@ class Fabric(ServingFrame):
             reseed_snapshot=self._reseed_shard,
             stage_timer=self.stages,
         )
-        if start:
-            self.supervisor.start()
+        self.supervisor.start()
 
     # -- snapshot publication ----------------------------------------------
 

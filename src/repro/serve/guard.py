@@ -55,7 +55,7 @@ HALF_OPEN_BUDGET = 64
 #: per packet — the table must not become the memory attack itself.
 PROOF_CAPACITY = 4096
 
-#: Default capacity of the established-connection table.
+#: Capacity of the established-connection table.
 ESTABLISHED_CAPACITY = 8192
 
 
@@ -71,12 +71,11 @@ class FloodGuard:
     def __init__(self, classify: Callable[[Sequence[int]], int | None],
                  scope: MetricScope, *,
                  half_open_budget: int = HALF_OPEN_BUDGET,
-                 proof_capacity: int = PROOF_CAPACITY,
-                 established_capacity: int = ESTABLISHED_CAPACITY) -> None:
+                 proof_capacity: int = PROOF_CAPACITY) -> None:
         if half_open_budget < 1:
             raise ConfigurationError("half_open_budget must be >= 1")
-        if proof_capacity < 1 or established_capacity < 1:
-            raise ConfigurationError("table capacities must be >= 1")
+        if proof_capacity < 1:
+            raise ConfigurationError("proof_capacity must be >= 1")
         self._classify = classify
         self._scope = scope
         self._offered = scope.bind("offered")
@@ -88,7 +87,6 @@ class FloodGuard:
         self._classes: dict[str, tuple] = {}
         self._budget = half_open_budget
         self._proof_capacity = proof_capacity
-        self._established_capacity = established_capacity
         self._half_open: OrderedDict[tuple, None] = OrderedDict()
         self._proof: OrderedDict[tuple, None] = OrderedDict()
         self._established: OrderedDict[tuple, None] = OrderedDict()
@@ -160,8 +158,7 @@ class FloodGuard:
         elif kind == ACK:
             if key in self._half_open:
                 del self._half_open[key]
-                self._remember(self._established, key,
-                               self._established_capacity)
+                self._remember(self._established, key, ESTABLISHED_CAPACITY)
                 self._handshakes.inc()
         elif kind in (FIN, FINACK):
             self._half_open.pop(key, None)

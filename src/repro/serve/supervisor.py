@@ -154,8 +154,6 @@ class WorkerHandle:
         #: Last update epoch the worker reported applying (from the
         #: ``ready`` info, every pong, and every classify result).
         self.applied_epoch = spec.epoch
-        #: Most recent pong stats (``rebuild_backlog`` etc.).
-        self.last_stats: dict = {}
 
     @property
     def name(self) -> str:
@@ -402,10 +400,7 @@ class Supervisor:
                 self._note_death(handle, now, "liveness")
             return False
         handle.heartbeat_misses_now = 0
-        stats = pong[2] if len(pong) > 2 and isinstance(pong[2], dict) else {}
-        handle.last_stats = stats
-        handle.applied_epoch = int(stats.get("applied_epoch",
-                                             handle.applied_epoch))
+        handle.applied_epoch = pong[2]
         return True
 
     def _await(self, handle: WorkerHandle, kinds: tuple[str, ...],

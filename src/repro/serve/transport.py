@@ -16,7 +16,7 @@ parent → worker messages::
 worker → parent messages::
 
     ("ready", info)        sent once after the serving structure exists
-    ("pong", seq, stats)   liveness answer (stats carry ``applied_epoch``)
+    ("pong", seq, epoch)   liveness answer with the worker's applied epoch
     ("result", answers, applied_epoch)
                            global rule indices for one classify batch,
                            stamped with the epoch they were served at
@@ -305,14 +305,7 @@ def worker_main(conn, spec: ShardSpec) -> None:
             break  # parent went away: nothing left to serve
         kind = message[0]
         if kind == "ping":
-            backlog = getattr(classifier, "rebuild_backlog", 0)
-            conn.send(("pong", message[1], {
-                "served": served,
-                "applied_epoch": applied_epoch,
-                "applied_updates": applied_updates,
-                "dup_updates": dup_updates,
-                "rebuild_backlog": int(backlog),
-            }))
+            conn.send(("pong", message[1], applied_epoch))
         elif kind == "classify":
             try:
                 headers = np.frombuffer(message[1], dtype=HEADER_DTYPE

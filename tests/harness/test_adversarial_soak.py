@@ -1,6 +1,8 @@
 """The adversarial-soak experiment: quick-run invariants, and the
 scenario threading through the serve/chaos soaks."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.harness import soak
@@ -73,17 +75,19 @@ class TestQuickRun:
 
 
 class TestScenarioThreading:
-    def test_serve_soak_accepts_scenario(self):
-        result = run_soak(SERVE_SOAK, quick=True, scenario="syn-flood")
+    def test_serve_soak_accepts_scenario(self, tmp_path):
+        spec = replace(SERVE_SOAK, out_dir=str(tmp_path))
+        result = run_soak(spec, quick=True, scenario="syn-flood")
         extra = result.data["extra"]
         assert extra["scenario"] == "syn-flood"
         assert extra["guard"]["engagements"] > 0
         assert extra["oracle_divergences"] == 0
         assert sum(extra["guard_shed_reasons"].values()) > 0
 
-    def test_serve_soak_scenario_differs_from_plain(self):
-        plain = run_soak(SERVE_SOAK, quick=True)
-        attacked = run_soak(SERVE_SOAK, quick=True, scenario="syn-flood")
+    def test_serve_soak_scenario_differs_from_plain(self, tmp_path):
+        spec = replace(SERVE_SOAK, out_dir=str(tmp_path))
+        plain = run_soak(spec, quick=True)
+        attacked = run_soak(spec, quick=True, scenario="syn-flood")
         assert "scenario" not in plain.data["extra"]
         assert plain.data["extra"]["served"] != \
             attacked.data["extra"]["served"]

@@ -5,6 +5,8 @@ Full-mode experiment *shape* assertions live in
 registered experiment runs in quick mode and renders something sane.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.harness.experiments import (
@@ -13,6 +15,7 @@ from repro.harness.experiments import (
     list_experiments,
     run_experiment,
 )
+from repro.harness.soak import SPECS
 
 
 class TestRegistry:
@@ -20,7 +23,7 @@ class TestRegistry:
         expected = {"table1", "table2", "table3", "table4", "table5",
                     "fig5", "fig6", "fig7", "fig8", "fig9",
                     "resilience", "profile", "serve-soak", "chaos-soak",
-                    "update-storm", "perf-report", "adversarial-soak"}
+                    "update-storm", "adversarial-soak"}
         assert set(REGISTRY) == expected
 
     def test_list(self):
@@ -32,16 +35,17 @@ class TestRegistry:
             run_experiment("fig99")
 
 
-# "profile" and "perf-report" are exercised in test_profile.py /
-# test_perf_report.py against tmp directories — running them here would
-# drop artifacts into the committed results/.
+# "profile" is exercised in test_profile.py against a tmp directory —
+# running it here would drop artifacts into the committed results/; for
+# the same reason serve-soak exports to a tmp directory here.
 # update-storm reads the shared registry run from ``conftest.py``.
-@pytest.mark.parametrize(
-    "name", sorted(set(REGISTRY) - {"profile", "perf-report"}))
-def test_quick_mode_runs(name, request):
+@pytest.mark.parametrize("name", sorted(set(REGISTRY) - {"profile"}))
+def test_quick_mode_runs(name, request, monkeypatch, tmp_path):
     if name == "update-storm":
         result, _ = request.getfixturevalue("quick_update_storm")
     else:
+        monkeypatch.setitem(SPECS, "serve-soak",
+                            replace(SPECS["serve-soak"], out_dir=str(tmp_path)))
         result = run_experiment(name, quick=True)
     assert isinstance(result, ExperimentResult)
     assert result.experiment == name

@@ -12,6 +12,7 @@ committed BENCH records still parse with their expected schema.
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,12 +63,13 @@ class TestGeneratorsUnperturbed:
 
 
 class TestSoaksUnperturbed:
-    def test_serve_soak_identical_around_scenario_run(self):
+    def test_serve_soak_identical_around_scenario_run(self, tmp_path):
         """plain -> scenario -> plain: the two plain runs must match
         bit-for-bit, proving scenario=None is the untouched code path."""
-        first = run_soak(SERVE_SOAK, quick=True)
-        run_soak(SERVE_SOAK, quick=True, scenario="mixed")
-        third = run_soak(SERVE_SOAK, quick=True)
+        spec = replace(SERVE_SOAK, out_dir=str(tmp_path))
+        first = run_soak(spec, quick=True)
+        run_soak(spec, quick=True, scenario="mixed")
+        third = run_soak(spec, quick=True)
         assert first.data["metrics"] == third.data["metrics"]
         assert first.data["extra"] == third.data["extra"]
         assert "scenario" not in first.data["extra"]
@@ -81,7 +83,7 @@ class TestSoaksUnperturbed:
 class TestCommittedBenchRecords:
     """The committed no-adversary BENCH records remain valid artifacts."""
 
-    EXPECTED = ("serve_soak", "chaos_soak", "update_storm", "perf_report")
+    EXPECTED = ("serve_soak", "chaos_soak", "update_storm")
 
     @pytest.mark.parametrize("name", EXPECTED)
     def test_record_present_and_schema_v2(self, name):
