@@ -6,7 +6,9 @@ objects.  This test measures a serve-shaped loop (a classify-sized
 chunk of work per request) bare vs. fully null-instrumented (two spans
 plus a counter and a histogram observation per request) and bounds the
 difference.  Min-of-N timing keeps scheduler noise out of the
-comparison; a couple of attempts absorb the rest.
+comparison, and the two loops are timed in alternation so that a slow
+drift of the host's speed (frequency scaling, a busy neighbour) lands on
+both alike; a couple of attempts absorb the rest.
 """
 
 import time
@@ -47,12 +49,14 @@ def _instrumented_batch():
         hist.observe(60.0)
 
 
-def _best_of(fn, repeats=15):
-    best = float("inf")
+def _best_of_interleaved(fns, repeats=15):
+    """The best time of each of ``fns``, timed in turn ``repeats`` times."""
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
     return best
 
 
@@ -68,8 +72,8 @@ class TestDisabledOverhead:
         _bare_batch(), _instrumented_batch()  # warm up both paths
         ratio = None
         for _attempt in range(4):
-            bare = _best_of(_bare_batch)
-            instrumented = _best_of(_instrumented_batch)
+            bare, instrumented = _best_of_interleaved(
+                (_bare_batch, _instrumented_batch))
             ratio = instrumented / bare
             if ratio <= 1.0 + MAX_OVERHEAD:
                 return
