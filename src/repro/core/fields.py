@@ -49,9 +49,6 @@ class Header(NamedTuple):
     dport: int
     proto: int
 
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.sip, self.dip, self.sport, self.dport, self.proto)
-
     def validate(self) -> "Header":
         """Raise ``ValueError`` unless every field is within its width."""
         for field, value in zip(Field, self):

@@ -34,18 +34,6 @@ class Interval(NamedTuple):
         """Whether the two intervals share at least one point."""
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def intersect(self, other: "Interval") -> "Interval | None":
-        """The intersection interval, or ``None`` when disjoint."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return Interval(lo, hi)
-
-    def shifted(self, offset: int) -> "Interval":
-        """The interval translated by ``offset``."""
-        return Interval(self.lo + offset, self.hi + offset)
-
     def is_power_of_two_aligned(self) -> bool:
         """True when the interval is an aligned power-of-two block.
 

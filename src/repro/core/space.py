@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .fields import FIELD_WIDTHS, Field, NUM_FIELDS
+from .fields import FIELD_WIDTHS, Field
 from .interval import Interval, full_interval, split_equal
 from .rule import Rule
 
@@ -69,31 +69,6 @@ class ProjectedRule(NamedTuple):
 
     rule_id: int
     intervals: tuple[Interval, ...]
-
-
-def project_rules(rules: Sequence[ProjectedRule], box_origin: Sequence[int],
-                  box: Box) -> tuple[ProjectedRule, ...]:
-    """Clip already-projected rules to a sub-box and re-normalise.
-
-    ``rules`` are projections relative to the parent box; ``box_origin``
-    is the parent-relative origin of the child box and ``box`` the child
-    box in parent-relative coordinates.  Rules that miss the child box are
-    dropped; a rule that covers the child box entirely truncates the list
-    (everything of lower priority behind a full cover can never match
-    first... only if it also covers — so truncation happens at the caller
-    where cover is detected).
-    """
-    projected: list[ProjectedRule] = []
-    for pr in rules:
-        clipped: list[Interval] = []
-        for fld in range(NUM_FIELDS):
-            inter = pr.intervals[fld].intersect(box.intervals[fld])
-            if inter is None:
-                break
-            clipped.append(inter.shifted(-box_origin[fld]))
-        else:
-            projected.append(ProjectedRule(pr.rule_id, tuple(clipped)))
-    return tuple(projected)
 
 
 def initial_projection(rules: Sequence[Rule]) -> tuple[ProjectedRule, ...]:

@@ -34,17 +34,17 @@ fights it.  Each is a :class:`SoakSpec` run by :func:`run_soak`:
 * **update-storm** — the same fabric under a seeded
   :func:`~repro.rulesets.generator.churn_sequence` of over 1000 rule
   updates per simulated second (inserts, removes, flapping rules,
-  locality bursts).  Every batch is one fabric epoch: applied to the
-  parent's kept bases, persisted as a chained delta record next to each
-  shard's snapshot, and fanned to the workers over the pipes.  Update-path
-  faults (:class:`~repro.npsim.faults.UpdateFault`) ride on top: one
-  epoch's fan-out lost, doubled or delivered after its successor (the
-  worker's in-order apply plus the tick-driven anti-entropy pump must
-  converge); a just-written delta bit-flipped (the next warm restart
-  quarantines the broken chain suffix and catches up over the pipe); a
-  crash mid-compaction (the restart rejects the superseded deltas by
-  base-hash mismatch); and kills while the delta chains are long, so the
-  warm restarts replay base + deltas.
+  locality bursts).  Every batch is one fabric epoch: applied to each
+  shard's global map in the parent, persisted as a chained delta record
+  next to each shard's snapshot, and fanned to the workers over the
+  pipes.  Update-path faults (:class:`~repro.npsim.faults.UpdateFault`)
+  ride on top: one epoch's fan-out lost, doubled or delivered after its
+  successor (the worker's in-order apply plus the tick-driven
+  anti-entropy pump must converge); a just-written delta bit-flipped
+  (the next warm restart quarantines the broken chain suffix and
+  catches up over the pipe); a crash mid-compaction (the restart
+  rejects the superseded deltas by base-hash mismatch); and kills while
+  the delta chains are long, so the warm restarts replay base + deltas.
 * **adversarial-soak** — the service behind a
   :class:`~repro.serve.guard.FloodGuard` through the four scenarios of
   :mod:`repro.traffic.scenarios`, one phase each: ``mixed``, the
@@ -107,7 +107,6 @@ from ..npsim import (
 )
 from ..npsim.flowcache import simulate_class_hit_rates
 from ..obs.export import write_prometheus
-from ..obs.metrics import LogHistogram
 from ..obs.perf import write_bench_record
 from ..obs.slo import SLO, SLOMonitor
 from ..obs.span import StageTimer
@@ -1025,7 +1024,6 @@ def _storm_setup(run: SoakRun) -> None:
         seed=run.spec.seed, insert_fraction=0.5, flap_rate=0.3, locality=0.6)
     run.churn_cursor = 0
     run.update_schedule = run.plan.update_fault_schedule()
-    run.backlog = LogHistogram("rebuild_backlog")
     run.outcomes["stale"] = 0
 
 
@@ -1043,10 +1041,6 @@ def _epoch_batch(run: SoakRun, idx: int) -> None:
         fabric.apply_updates(batch)
 
 
-def _track_backlog(run: SoakRun, idx: int) -> None:
-    run.backlog.observe(run.target.rebuild_backlog())
-
-
 def _count_stale(run: SoakRun, idx: int, t0: float, outcome: str) -> None:
     """A served answer from a worker behind the newest epoch is stale —
     correct for its epoch, and audited as such."""
@@ -1060,14 +1054,14 @@ def _count_stale(run: SoakRun, idx: int, t0: float, outcome: str) -> None:
 
 
 def _settle_and_sweep(run: SoakRun) -> None:
-    """Drain the update machinery — compactions absorb backlog, the delta
-    chains reset, every worker converges to the newest epoch — then
+    """Drain the update machinery — compactions reset the delta chains,
+    every worker converges to the newest epoch — then
     sweep the fabric's answers against a fresh linear oracle over the
     final rule list, end to end."""
     fabric = run.target
     drain = fabric.settle(run.clock.now)
     for _ in range(200):
-        if drain["rebuild_backlog"] == 0 and drain["max_epoch_lag"] == 0:
+        if drain["max_epoch_lag"] == 0:
             break
         _idle_tick(run)
         drain = fabric.settle(run.clock.now)
@@ -1118,10 +1112,9 @@ def _storm_report(runs: list[SoakRun]) -> Report:
     if not run.count("update_faults.crash_mid_compaction"):
         raise AssertionError(
             "the crash-mid-compaction fault was never injected")
-    if drain["rebuild_backlog"] != 0 or drain["max_epoch_lag"] != 0:
+    if drain["max_epoch_lag"] != 0:
         raise AssertionError(
-            f"the fabric did not drain: backlog "
-            f"{drain['rebuild_backlog']}, lag {drain['max_epoch_lag']}")
+            f"the fabric did not drain: lag {drain['max_epoch_lag']}")
 
     metrics = {
         "goodput_kpps": round(run.goodput_kpps, 3),
@@ -1146,8 +1139,6 @@ def _storm_report(runs: list[SoakRun]) -> Report:
         "sweep_answers": run.sweep_answers,
         "sweep_mismatches": run.sweep_mismatches,
         **_quantiles("epoch_lag", lag, ("p50", "p99", "max")),
-        **_quantiles("backlog", run.backlog, ("p50", "p99", "max")),
-        "drained_backlog": drain["rebuild_backlog"],
         "drained_lag": drain["max_epoch_lag"],
         "final_rules": len(run.target.rules),
         "storm_span_s": round(storm_span_s, 6),
@@ -1175,9 +1166,8 @@ def _storm_report(runs: list[SoakRun]) -> Report:
          "lose/dup/reorder + corrupt + mid-compaction crash"),
         ("goodput", f"{run.goodput_kpps:.1f} kpps",
          f"while churning {updates_per_s:.0f} rules/s"),
-        ("drain", f"backlog {drain['rebuild_backlog']}, "
-         f"lag {drain['max_epoch_lag']}",
-         f"both must reach 0; post-drain sweep {run.sweep_mismatches} wrong"),
+        ("drain", f"lag {drain['max_epoch_lag']}",
+         f"must reach 0; post-drain sweep {run.sweep_mismatches} wrong"),
     ]
     note = ("\nEvery served answer audited against the linear oracle at "
             "the epoch its worker had applied; every restart replayed "
@@ -1413,7 +1403,7 @@ UPDATE_STORM = SoakSpec(
     report=_storm_report,
     fabric=True,
     setup=_storm_setup,
-    hooks=(_epoch_batch, _supervise, _track_backlog),
+    hooks=(_epoch_batch, _supervise),
     observe=_count_stale,
     finish=_settle_and_sweep,
     state_snapshot="fabric_storm.snap",

@@ -149,7 +149,7 @@ class WorkerFault:
       the normal restart time (a cold cache, a slow disk).
     * ``corrupt_snapshot`` — the shard's on-disk snapshot is corrupted
       and the worker killed, so the restart must detect the corruption,
-      quarantine the file and fall back to a budget-guarded rebuild.
+      quarantine the file and fall back to a cold rebuild.
     """
 
     shard: str

@@ -129,13 +129,6 @@ class DecisionTrace:
         """Every HABS POP_COUNT result along the path (ExpCuts)."""
         return [s.detail["popcount"] for s in self.steps if "popcount" in s.detail]
 
-    def regions_touched(self) -> list[str]:
-        seen: list[str] = []
-        for step in self.steps:
-            if step.region and step.region not in seen:
-                seen.append(step.region)
-        return seen
-
     # -- rendering ---------------------------------------------------------
 
     def pretty(self) -> str:

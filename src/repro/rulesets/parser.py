@@ -17,7 +17,7 @@ import io
 import logging
 import re
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import TextIO
 
 from ..core.errors import RuleFormatError, RuleParseError
 from ..core.interval import Interval, full_interval, prefix_to_interval
@@ -154,7 +154,3 @@ def format_rules(ruleset: RuleSet) -> str:
 
 def save_rules(ruleset: RuleSet, path: str | Path) -> None:
     Path(path).write_text(format_rules(ruleset))
-
-
-def rules_from_lines(lines: Iterable[str], name: str = "ruleset") -> RuleSet:
-    return parse_rules("\n".join(lines), name=name)

@@ -34,20 +34,21 @@ Failure handling lifts the service's machinery to fabric level:
   caller behind the restart;
 - supervision restarts with exponential backoff under a crash-loop
   budget; a corrupt snapshot is quarantined, rebuilt cold, and the
-  fabric re-publishes a healthy snapshot from its kept base.
+  fabric builds and re-publishes a healthy snapshot.
 
 **Live rule updates** propagate with epoch consistency
 (:meth:`Fabric.apply_updates`): each update batch bumps a fabric-wide
-monotonic epoch, is translated into shard-local edits, applied to the
-parent's kept bases, persisted as a chained delta record next to each
-shard's snapshot (:mod:`repro.harness.snapshots`), and fanned to the
-workers over the existing pipes.  Workers apply batches strictly in
-epoch order (duplicates drop, gaps buffer), report their applied epoch
-on every pong and classify result, and answers are oracle-audited
-against exactly the rule version they were served at — a lagging worker
-is *stale*, never *wrong*.  A restarted worker replays base + deltas
-before rejoining; a worker lagging beyond the retained op history is
-reseeded and recycled.  Anti-entropy (:meth:`Fabric.pump_updates`, run
+monotonic epoch, is translated into shard-local edits, applied to each
+shard's global map in the parent, persisted as a chained delta record
+next to each shard's snapshot (:mod:`repro.harness.snapshots`), and
+fanned to the workers over the existing pipes.  The parent keeps no
+classifier: a shard's base is built only when it is published.
+Workers apply batches strictly in epoch order (duplicates drop, gaps
+buffer), report their applied epoch on every pong and classify result,
+and answers are oracle-audited against exactly the rule version they
+were served at — a lagging worker is *stale*, never *wrong*.  A
+restarted worker replays base + deltas before rejoining; a worker
+lagging beyond the retained op history is reseeded and recycled.  Anti-entropy (:meth:`Fabric.pump_updates`, run
 from :meth:`Fabric.tick`) re-sends missed epochs, so lost, duplicated
 or reordered update messages delay convergence but never corrupt it.
 
@@ -84,7 +85,7 @@ from .supervisor import DOWN_PHASES, RUNNING, SupervisionPolicy, Supervisor
 from .transport import (
     SHARD_DELTA_KIND,
     ShardSpec,
-    apply_shard_ops,
+    apply_map_op,
     pack_rows,
     write_shard_snapshot,
 )
@@ -227,7 +228,7 @@ class Fabric(ServingFrame):
         #: Updates held back by an armed ``reorder_update``.
         self._held_updates: dict[str, list[tuple[int, tuple]]] = {}
         self.specs: list[ShardSpec] = []
-        self._bases: dict[str, object] = {}
+        #: Per-shard global map: the global index of each shard rule.
         self._shard_map: dict[str, list[int]] = {}
         self.breakers: dict[str, CircuitBreaker] = {}
         for i, assignment in enumerate(self.plan.assignments):
@@ -242,7 +243,7 @@ class Fabric(ServingFrame):
             self.specs.append(spec)
             self._shard_map[name] = list(assignment)
             self._shard_ops_history[name] = {}
-            self._publish_shard(spec)
+            self._publish_shard(name)
             self.breakers[name] = CircuitBreaker(self.policy,
                                                  clock=self._clock, name=name)
         self.supervisor = Supervisor(
@@ -258,24 +259,21 @@ class Fabric(ServingFrame):
 
     # -- snapshot publication ----------------------------------------------
 
-    def _publish_shard(self, spec: ShardSpec) -> None:
+    def _publish_shard(self, name: str) -> None:
         """Build the shard's structure and publish it as its snapshot.
 
-        The built base is kept in the parent so a corruption-triggered
-        cold restart can be healed by re-publishing from memory rather
-        than paying a second build.  The spec is refreshed to the
-        fabric's current epoch first, so the published image and any
-        future cold build agree on what epoch they represent; the
-        republished base starts a fresh delta chain, and deltas of the
-        previous base (now unreplayable) are swept.
+        The spec is refreshed to the fabric's current rules and epoch
+        first, so the published image and any future cold build agree
+        on what epoch they represent.  The parent keeps no built
+        structure: the base is written and dropped.  The republished
+        base starts a fresh delta chain, and deltas of the previous base
+        (now unreplayable) are swept.
         """
-        base = self._bases.get(spec.name)
-        if base is None:
-            base = self._bases[spec.name] = spec.build_base()
-        spec = self._refresh_spec(spec.name)
-        header = write_shard_snapshot(Path(spec.snapshot_path), spec, base)
-        self._sweep_deltas(spec.name)
-        self._delta_chain[spec.name] = {
+        spec = self._refresh_spec(name)
+        header = write_shard_snapshot(Path(spec.snapshot_path), spec,
+                                      spec.build_base())
+        self._sweep_deltas(name)
+        self._delta_chain[name] = {
             "base_sha": header.sha256, "prev_sha": header.sha256,
             "paths": [],
         }
@@ -285,11 +283,11 @@ class Fabric(ServingFrame):
         (current rules, global map, epoch) and install it everywhere a
         future worker start would read it."""
         index = next(i for i, s in enumerate(self.specs) if s.name == name)
-        base = self._bases[name]
+        global_map = self._shard_map[name]
         spec = dataclasses.replace(
             self.specs[index],
-            rules=tuple(base.rules),
-            global_map=tuple(self._shard_map[name]),
+            rules=tuple(self.rules[g] for g in global_map),
+            global_map=tuple(global_map),
             epoch=self.epoch,
         )
         self.specs[index] = spec
@@ -318,7 +316,7 @@ class Fabric(ServingFrame):
 
     def _reseed_shard(self, spec: ShardSpec) -> None:
         """Supervision callback after a corrupt-snapshot cold start."""
-        self._publish_shard(spec)
+        self._publish_shard(spec.name)
         self._scope.counter("snapshot_reseeds").inc()
 
     # -- live rule updates -------------------------------------------------
@@ -329,7 +327,7 @@ class Fabric(ServingFrame):
         ``ops`` is an ordered sequence of ``("insert", position, rule)``
         / ``("remove", position)`` against the evolving global rule
         list.  The batch is atomic from the fabric's point of view: the
-        global list, the oracle history, every shard's kept base, the
+        global list, the oracle history, every shard's global map, the
         persisted delta chain and the fan-out all advance to the same
         new epoch under the request lock.  Returns that epoch.
 
@@ -362,7 +360,7 @@ class Fabric(ServingFrame):
                     else:
                         shard_op = ("shift", position, 1)
                     shard_ops[spec.name].append(shard_op)
-                    apply_shard_ops(self._bases[spec.name], gmap, (shard_op,))
+                    apply_map_op(gmap, shard_op)
             else:
                 _, position = op
                 if not 0 <= position < len(self.rules):
@@ -376,7 +374,7 @@ class Fabric(ServingFrame):
                     else:
                         shard_op = ("shift", position, -1)
                     shard_ops[spec.name].append(shard_op)
-                    apply_shard_ops(self._bases[spec.name], gmap, (shard_op,))
+                    apply_map_op(gmap, shard_op)
         # Every view advanced together: commit the epoch, persist and fan
         # out.  (Validation errors above leave a partial batch unapplied
         # by design only for the *failing* op onward — callers treat an
@@ -460,7 +458,7 @@ class Fabric(ServingFrame):
         compaction).  ``crash=True`` is the chaos hook: the new base is
         published but the worker is killed before the stale deltas are
         swept — the restart must reject them by base-hash mismatch."""
-        self._publish_shard(self._spec(name))
+        self._publish_shard(name)
         self._scope.counter("delta_compactions").inc()
         if crash:
             self._scope.counter("update_faults.crash_mid_compaction").inc()
@@ -503,12 +501,6 @@ class Fabric(ServingFrame):
                 self.supervisor.recycle(name, "stale_epoch", now)
                 self._scope.counter("stale_recycles").inc()
 
-    def rebuild_backlog(self) -> int:
-        """Un-absorbed update work across the parent's shard bases
-        (overlay entries + tombstones + tripped garbage watermarks).
-        Zero means every structure is settled."""
-        return sum(base.rebuild_backlog for base in self._bases.values())
-
     def max_epoch_lag(self) -> int:
         """Worst staleness across running workers, in epochs."""
         lags = [self.epoch - h.applied_epoch
@@ -517,23 +509,17 @@ class Fabric(ServingFrame):
         return max(lags, default=0)
 
     def settle(self, now: float | None = None) -> dict:
-        """Drain update state: compact shards with outstanding backlog
-        or live delta chains, then pump lagging workers.  Returns the
-        post-settle backlog view (the update-storm soak's drain bar)."""
+        """Drain update state: compact every shard with a live delta
+        chain, then pump lagging workers.  Returns the post-settle
+        ``epoch`` and ``max_epoch_lag`` (the update-storm soak's drain
+        bar)."""
         with self._lock:
             for spec in self.specs:
-                base = self._bases[spec.name]
-                if base.rebuild_backlog and base.rebuild():
-                    base.stats.compactions += 1
-                if (self._delta_chain[spec.name]["paths"]
-                        or base.rebuild_backlog):
+                if self._delta_chain[spec.name]["paths"]:
                     self._compact_shard(spec.name)
             self.pump_updates(now)
-            return {
-                "epoch": self.epoch,
-                "rebuild_backlog": self.rebuild_backlog(),
-                "max_epoch_lag": self.max_epoch_lag(),
-            }
+            return {"epoch": self.epoch,
+                    "max_epoch_lag": self.max_epoch_lag()}
 
     # -- the request path --------------------------------------------------
 
@@ -727,7 +713,6 @@ class Fabric(ServingFrame):
                 "metrics": self.metrics.snapshot(),
                 "updates": {
                     "epoch": self.epoch,
-                    "rebuild_backlog": self.rebuild_backlog(),
                     "max_epoch_lag": self.max_epoch_lag(),
                     "applied_epochs": {
                         name: handle.applied_epoch

@@ -26,9 +26,9 @@ stay deterministic.
 
 Restarts are **warm by design**: the worker reloads the shard's
 content-verified snapshot; a corrupt snapshot is quarantined by the
-worker and rebuilt cold (budget-guarded, degrading to the linear slow
-path), after which the supervisor re-publishes a fresh snapshot via the
-``reseed_snapshot`` hook so the *next* restart is warm again.
+worker and rebuilt cold (degrading to the linear slow path if the
+build raises), after which the supervisor re-publishes a fresh snapshot
+via the ``reseed_snapshot`` hook so the *next* restart is warm again.
 """
 
 from __future__ import annotations

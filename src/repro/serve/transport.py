@@ -46,10 +46,11 @@ update messages can delay convergence but can never corrupt it.  Each
     ("remove", local_pos, global_pos)         a shard-local rule leaves
     ("shift", global_pos, +1 | -1)            global renumbering only
 
-applied by :func:`apply_shard_ops` — the same function the parent uses
-on its kept base and the restart path uses to replay persisted delta
-records (:mod:`repro.harness.snapshots`), so all three views of a shard
-evolve identically.
+applied by :func:`apply_shard_ops`, which the restart path also uses to
+replay persisted delta records (:mod:`repro.harness.snapshots`).  Its
+renumbering half, :func:`apply_map_op`, is the one the parent runs on
+the shard's global map, so the parent, a live worker and a replayed
+restart number a shard's rules identically.
 
 The worker is **expendable by design**: all durable state lives in the
 shard's content-verified snapshot (:mod:`repro.harness.snapshots`), so a
@@ -58,9 +59,8 @@ walks the same degradation ladder the single-process service uses:
 
 1. **warm** — load the shard's snapshot (verified before unpickling);
 2. **cold** — on a missing or corrupt snapshot (quarantined first),
-   rebuild from the shard's rules under the budget-guarded
-   :class:`~repro.classifiers.updates.UpdatableClassifier` chain
-   (coarser parameters → linear slow path);
+   rebuild from the shard's rules as an
+   :class:`~repro.classifiers.updates.UpdatableClassifier`;
 3. **linear** — if even the cold build raises, serve the linear scan:
    always correct, merely slow.
 
@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -81,7 +81,6 @@ import numpy as np
 
 from ..classifiers import ALGORITHMS, LinearSearchClassifier
 from ..classifiers.updates import UpdatableClassifier
-from ..core.budget import BuildBudget
 from ..core.errors import ReproError, SnapshotIntegrityError, UpdateError
 from ..core.fields import NUM_FIELDS
 from ..core.rule import Rule, RuleSet
@@ -137,8 +136,6 @@ class ShardSpec:
     global_map: tuple[int, ...]
     snapshot_path: str
     algorithm: str = "expcuts"
-    build_params: dict = field(default_factory=dict)
-    budget: BuildBudget | None = None
     rebuild_threshold: int = 32
     #: The fabric update epoch this spec's ``rules``/``global_map``
     #: reflect; a cold build from the spec serves at exactly this epoch.
@@ -155,13 +152,13 @@ class ShardSpec:
             raise ValueError("global_map must cover every shard rule")
 
     def build_base(self) -> UpdatableClassifier:
-        """Build the shard's structure from its rules: the parent's kept
-        base and a worker's cold start are this one build."""
+        """Build the shard's structure from its rules: the base the
+        parent publishes and a worker's cold start are this one build."""
         ruleset = RuleSet(list(self.rules), name=f"shard-{self.name}")
         return UpdatableClassifier(
             ruleset, ALGORITHMS[self.algorithm],
-            rebuild_threshold=self.rebuild_threshold, budget=self.budget,
-            degrade=True, incremental=self.incremental, **self.build_params)
+            rebuild_threshold=self.rebuild_threshold,
+            incremental=self.incremental)
 
 
 def write_shard_snapshot(path: Path, spec: ShardSpec, base):
@@ -184,32 +181,44 @@ def write_shard_snapshot(path: Path, spec: ShardSpec, base):
                           cache_version=CACHE_VERSION)
 
 
-def apply_shard_ops(classifier, global_map: list[int], ops) -> None:
-    """Apply one epoch's shard-local edit batch (see module docstring).
+def apply_map_op(global_map: list[int], op: tuple) -> None:
+    """Apply one shard-local op (see module docstring) to the shard's
+    global map alone.
 
     ``global_map`` stays sorted ascending (shard rules are kept in
     global priority order), so local edit positions computed by the
-    parent at translation time remain valid here.  The classifier is an
+    parent at translation time remain valid here.
+    """
+    kind = op[0]
+    if kind == "insert":
+        _, local_pos, _, global_pos = op
+        _shift(global_map, global_pos, 1)
+        global_map.insert(local_pos, global_pos)
+    elif kind == "remove":
+        _, local_pos, global_pos = op
+        del global_map[local_pos]
+        _shift(global_map, global_pos, -1)
+    elif kind == "shift":
+        _shift(global_map, op[1], op[2])
+    else:
+        raise UpdateError(f"unknown shard op kind {kind!r}")
+
+
+def apply_shard_ops(classifier, global_map: list[int], ops) -> None:
+    """Apply one epoch's shard-local batch to a classifier and its
+    global map: each op's :func:`apply_map_op`, then its classifier edit.
+
+    The classifier is an
     :class:`~repro.classifiers.updates.UpdatableClassifier` or, on the
     last degradation rung, a :class:`LinearSearchClassifier`; both edit
     their rule list through ``insert(rule, position)``/``remove(position)``.
     """
     for op in ops:
-        kind = op[0]
-        if kind == "insert":
-            _, local_pos, rule, global_pos = op
-            _shift(global_map, global_pos, 1)
-            global_map.insert(local_pos, global_pos)
-            classifier.insert(rule, local_pos)
-        elif kind == "remove":
-            _, local_pos, global_pos = op
-            classifier.remove(local_pos)
-            del global_map[local_pos]
-            _shift(global_map, global_pos, -1)
-        elif kind == "shift":
-            _shift(global_map, op[1], op[2])
-        else:
-            raise UpdateError(f"unknown shard op kind {kind!r}")
+        apply_map_op(global_map, op)
+        if op[0] == "insert":
+            classifier.insert(op[2], op[1])
+        elif op[0] == "remove":
+            classifier.remove(op[1])
 
 
 def _shift(global_map: list[int], global_pos: int, delta: int) -> None:

@@ -295,10 +295,6 @@ class ScenarioTrace:
     def attack_count(self) -> int:
         return int(self.attack_mask().sum())
 
-    @property
-    def legit_count(self) -> int:
-        return len(self) - self.attack_count
-
     def class_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for klass in self.classes:

@@ -30,13 +30,6 @@ class TestIntervalBasics:
         assert Interval(0, 10).overlaps(Interval(10, 20))
         assert not Interval(0, 9).overlaps(Interval(10, 20))
 
-    def test_intersect(self):
-        assert Interval(0, 10).intersect(Interval(5, 20)) == Interval(5, 10)
-        assert Interval(0, 4).intersect(Interval(5, 9)) is None
-
-    def test_shifted(self):
-        assert Interval(5, 9).shifted(-5) == Interval(0, 4)
-
     def test_alignment(self):
         assert Interval(8, 15).is_power_of_two_aligned()
         assert not Interval(8, 14).is_power_of_two_aligned()

@@ -1,7 +1,7 @@
 """Update-storm experiment: bit-reproducibility and acceptance shape.
 
 The acceptance criteria proper (zero settled-epoch divergences, the
-update rate floor, the epoch-lag SLO, faults survived, backlog drained)
+update rate floor, the epoch-lag SLO, faults survived, lag drained)
 are asserted *inside* run_soak — a quick run that returns at
 all has already passed them.  Here we pin determinism (two runs of the
 same seeded storm must be byte-identical) and that the published
@@ -35,12 +35,11 @@ class TestUpdateStormQuick:
         assert extra["worker_deaths"] >= extra["worker_kills"]
         assert extra["replayed_deltas"] >= 1
         # Consistency: audited zero divergences, clean differential
-        # sweep, and the drain bar hit zero backlog / zero lag.
+        # sweep, and the drain bar hit zero lag.
         assert extra["oracle_checks"] > 0
         assert extra["oracle_divergences"] == 0
         assert extra["sweep_answers"] > 0
         assert extra["sweep_mismatches"] == 0
-        assert extra["drained_backlog"] == 0
         assert extra["drained_lag"] == 0
         # The headline metric trio the bench record/trend tracks.
         assert set(data["metrics"]) == {"goodput_kpps", "updates_per_s",

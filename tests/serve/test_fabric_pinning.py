@@ -39,8 +39,12 @@ SUPERVISION = SupervisionPolicy(
 #: Simulated lookup cost per header.
 LOOKUP_COST_S = 20e-6
 
+#: Derived from the scenario's ``report()`` as it read while the fabric's
+#: parent process still kept a classifier per shard: its
+#: ``updates.rebuild_backlog`` entry (a measure of those classifiers)
+#: popped, every other byte unchanged.
 REPORT_DIGEST = (
-    "ba15a596999b510f4e26a727653546368428f1bef1560a95cdcb54d734ebcec2")
+    "3e2fbd24eb5d971d90a361efa8fb43311c27be470c1a3d2e23bce404722bc2be")
 STATE_DIGEST = (
     "b5640d4694a962e75de9a8c7f78a6172a737ebbc5951187128abd74d6bdbc411")
 

@@ -1,7 +1,7 @@
 """Epoch-consistent update propagation across the worker fabric.
 
 ``Fabric.apply_updates`` commits a batch of global rule edits as one
-update epoch: the parent's oracle, every shard's kept base, the
+update epoch: the parent's oracle, every shard's global map, the
 persisted delta chain and the worker fan-out all advance together, and
 workers converge asynchronously.  These tests drive the full loop —
 clean propagation, warm restarts that replay delta chains, every
@@ -15,13 +15,16 @@ import pytest
 
 from repro.core.errors import ConfigurationError, UpdateError
 from repro.core.rule import RuleSet
+from repro.harness.snapshots import read_snapshot
 from repro.rulesets import churn_sequence, generate
 from repro.rulesets.profiles import PROFILES
 from repro.serve import (
     Fabric,
     ManualClock,
     RUNNING,
+    SHARD_SNAPSHOT_KIND,
     ServicePolicy,
+    ShardPlan,
     SupervisionPolicy,
 )
 
@@ -44,10 +47,11 @@ def base_rules():
 def make_fabric(tmp_path, base_rules):
     made = []
 
-    def factory(**kw):
+    def factory(num_shards=2, **kw):
         clock = ManualClock()
         fab = Fabric(list(base_rules), tmp_path / f"shards{len(made)}",
-                     num_shards=2, policy=POLICY, supervision=SUPERVISION,
+                     num_shards=num_shards, policy=POLICY,
+                     supervision=SUPERVISION,
                      clock=clock, charge=clock.advance, **kw)
         fab.manual_clock = clock
         made.append(fab)
@@ -284,10 +288,39 @@ class TestSettle:
         state = fab.settle(fab.manual_clock.now)
         converge(fab)
         assert state["epoch"] == fab.epoch
-        assert state["rebuild_backlog"] == 0
-        assert fab.rebuild_backlog() == 0
         assert fab.max_epoch_lag() == 0
         # Settling compacted every live chain into its base.
         lengths = fab.report()["updates"]["delta_chain_lengths"]
         assert set(lengths.values()) == {0}
+        assert_serving_current_rules(fab)
+
+
+# -- the parent's shard maps ---------------------------------------------------
+
+class TestShardMaps:
+    def test_maps_track_a_fresh_plan_and_settle_publishes_them(
+            self, make_fabric, base_rules):
+        # The parent keeps each shard's global map, not its classifier:
+        # after every epoch the map must be the one a fresh partition of
+        # the live rules gives, and the bases settle() publishes must
+        # hold exactly that partition at the fabric's epoch.  The run is
+        # longer than COMPACT_EVERY, so it crosses a compaction too.
+        fab = make_fabric(num_shards=3)
+        for batch in churn_batches(base_rules, 200, seed=41, batch=3):
+            fab.apply_updates(batch)
+            plan = ShardPlan.build(fab.rules, 3)
+            for spec, assignment in zip(fab.specs, plan.assignments):
+                assert fab._shard_map[spec.name] == list(assignment), \
+                    (fab.epoch, spec.name)
+        assert fab.epoch == 67
+        fab.settle(fab.manual_clock.now)
+        plan = ShardPlan.build(fab.rules, 3)
+        for spec, assignment in zip(fab.specs, plan.assignments):
+            payload = read_snapshot(spec.snapshot_path,
+                                    kind=SHARD_SNAPSHOT_KIND)
+            assert payload["rules"] == [fab.rules[g] for g in assignment]
+            assert payload["global_map"] == list(assignment)
+            assert payload["epoch"] == fab.epoch
+            assert payload["base"].rules == payload["rules"]
+        converge(fab)
         assert_serving_current_rules(fab)
