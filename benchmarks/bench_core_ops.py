@@ -174,6 +174,57 @@ def test_service_path(run_once):
         BATCH_VS_SCALAR_SAMPLES * SERVICE_PATH_PACKETS)
 
 
+#: In-process FW03 builds timed by the ExpCuts build benchmark.
+EXPCUTS_BUILD_RUNS = 5
+
+
+# Builds and packs per second (higher-is-better) for the rate check;
+# the median seconds themselves go to the record's ``extra``.  The
+# measured result is a (build_s, pack_s) pair of medians.
+@pytest.mark.bench_metrics(lambda times: {
+    "builds_per_s": round(1 / times[0], 3),
+    "packs_per_s": round(1 / times[1], 3),
+}, clock="real", extra=lambda times: {
+    "build_s": round(times[0], 4),
+    "pack_s": round(times[1], 4),
+})
+def test_expcuts_build(run_once):
+    """One ExpCuts build of FW03, the edge service's rule set, then the
+    aggregated pack of the built tree.
+
+    The serving stack builds on the request side (every set-up, every
+    compaction), so this is a serving cost, not an offline one.  Each of
+    ``EXPCUTS_BUILD_RUNS`` runs builds from scratch in this process;
+    build and pack each report their median.
+    """
+    import statistics
+    import time
+
+    from repro.core.expcuts import build_expcuts
+    from repro.core.layout import pack_tree
+    from repro.harness import get_ruleset
+
+    ruleset = get_ruleset("FW03")
+    node_counts = set()
+
+    def measure():
+        build_times, pack_times = [], []
+        for _ in range(EXPCUTS_BUILD_RUNS):
+            start = time.perf_counter()
+            tree = build_expcuts(ruleset)
+            build_times.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            pack_tree(tree)
+            pack_times.append(time.perf_counter() - start)
+            node_counts.add(len(tree.nodes))
+        return statistics.median(build_times), statistics.median(pack_times)
+
+    build_s, pack_s = run_once(measure)
+    print(f"\nFW03 ExpCuts build {build_s:.3f} s, pack {pack_s:.3f} s "
+          f"(median of {EXPCUTS_BUILD_RUNS} runs)")
+    assert node_counts == {20_463}
+
+
 #: CR01 headers per pass of the fabric-audit benchmark, the burst sizes
 #: it audits them in, and the samples per (burst, input) pair.
 FABRIC_AUDIT_PACKETS = 4096

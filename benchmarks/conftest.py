@@ -45,6 +45,8 @@ def run_once(benchmark, request):
     ``BENCH_<name>.json`` at the repo root, keyed by the test name.  A
     ``bench_metrics`` marker supplies the figures instead, and its
     ``clock=`` keyword, when given, is recorded as the clock domain.
+    Its ``extra=`` keyword maps the result to lower-is-better figures
+    (times, say), recorded beside the metrics but never rate-compared.
     """
     name = request.node.name.removeprefix("test_")
     extractor = request.node.get_closest_marker("bench_metrics")
@@ -54,15 +56,18 @@ def run_once(benchmark, request):
         result = benchmark.pedantic(fn, rounds=1, iterations=1,
                                     warmup_rounds=0)
         wall = time.perf_counter() - start
-        clock = None
+        clock = extra = None
         if extractor is not None:
             metrics = extractor.args[0](result)
             clock = extractor.kwargs.get("clock")
+            if "extra" in extractor.kwargs:
+                extra = extractor.kwargs["extra"](result)
         else:
             data = getattr(result, "data", None)
             metrics = extract_throughput(data) if isinstance(data, dict) else {}
         try:
-            write_bench_record(name, metrics, wall, clock=clock)
+            write_bench_record(name, metrics, wall, extra=extra,
+                               clock=clock)
         except OSError:
             pass  # read-only checkout: the benchmark itself still counts
         return result

@@ -38,9 +38,13 @@ slower):
   children, so children between consecutive span endpoints have
   *identical* projections.  The builder enumerates those uniform runs
   (≤ ``4·N + 1``, capped at ``2**w``) and builds one child per run.
-* **Flat projections.**  A projected rule is a flat 11-int tuple
-  ``(rule_id, lo0, hi0, …, lo4, hi4)`` — cheap to hash for the memo, cheap
-  to clip.
+* **Interned projections.**  A projected rule is a flat 11-int tuple
+  ``(rule_id, lo0, hi0, …, lo4, hi4)``, interned once per build to a
+  small int id.  A child's rule list is a tuple of ids, so a memo probe
+  hashes ints, not rule tuples.  Each id's span on a level's cut (its
+  first and last child and the ids of its at most three distinct child
+  projections) is computed once, and a node appends each rule to just
+  the runs its span touches.
 """
 
 from __future__ import annotations
@@ -198,7 +202,16 @@ def _remaining_widths(schedule: Sequence[CutStep]) -> list[tuple[int, ...]]:
 
 
 class _Builder:
-    """Recursive hash-consing builder (one instance per build call)."""
+    """Recursive hash-consing builder (one instance per build call).
+
+    Every distinct projected rule is interned to a small int id
+    (``interned[id]`` is the :data:`FlatRule`, ``intern_ids`` the
+    inverse), so a child's rule list is a tuple of ids and its memo key
+    is ``(level, ids)``.  Interning is a bijection on projections, so
+    two keys are equal exactly when the projected rule lists are: the
+    node set is the one projection keys give.  Ids mean nothing outside
+    the builder that issued them.
+    """
 
     def __init__(self, config: ExpCutsConfig,
                  meter: BudgetMeter | None = None) -> None:
@@ -212,9 +225,13 @@ class _Builder:
             tuple((1 << w) - 1 for w in widths) for widths in self.widths
         ]
         self.nodes: list[InternalNode] = []
-        self.memo: dict[tuple, int] = {}
+        self.memo: dict[tuple[int, tuple[int, ...]], int] = {}
         self.memo_hits = 0
         self.child_evals = 0
+        self.interned: list[FlatRule] = []
+        self.intern_ids: dict[FlatRule, int] = {}
+        # Per level: id -> its span record on that level's cut (_span).
+        self.spans: list[dict[int, tuple]] = [{} for _ in self.schedule]
 
     def full_cover(self, rule: FlatRule, level: int) -> bool:
         full = self.full_hi[level]
@@ -223,7 +240,16 @@ class _Builder:
                 return False
         return True
 
-    def build(self, level: int, rules: tuple[FlatRule, ...]) -> int:
+    def intern(self, rule: FlatRule) -> int:
+        rid = self.intern_ids.get(rule)
+        if rid is None:
+            rid = self.intern_ids[rule] = len(self.interned)
+            self.interned.append(rule)
+        return rid
+
+    def build(self, level: int, rules: Sequence[FlatRule]) -> int:
+        """The ref of the subtree for ``rules`` (priority order) at
+        ``level``: a leaf, or a node built or found in the memo."""
         if not rules:
             return REF_NO_MATCH
         if self.full_cover(rules[0], level):
@@ -235,70 +261,130 @@ class _Builder:
             # All 104 bits consumed: the box is a single header point, so
             # intersecting == matching and the first rule wins.
             return leaf_ref(rules[0][0])
-
-        key = (level, rules)
+        key = (level, tuple(map(self.intern, rules)))
         cached = self.memo.get(key)
         if cached is not None:
             self.memo_hits += 1
             return cached
+        return self._node(key)
 
-        step = self.schedule[level]
-        fld = step.field
+    def _span(self, level: int, rid: int) -> tuple:
+        """Rule ``rid`` on ``level``'s cut: ``(k_lo, k_hi, lo_id, lo_full,
+        mid_id, mid_full, hi_id, hi_full, edges)``.
+
+        ``k_lo..k_hi`` are the children the rule intersects.  ``lo_id``
+        is its projection into child ``k_lo``, ``mid_id`` into every
+        child strictly between and ``hi_id`` into child ``k_hi`` (a
+        one-child span has only ``lo_id``).  Each ``*_full`` says
+        whether that projection covers its whole child box.  ``edges``
+        are the run boundaries the span adds to a node's partition.
+        """
+        rule = self.interned[rid]
+        fld = self.schedule[level].field
         pos = 1 + 2 * fld
-        width = self.widths[level][fld]
-        shift = width - step.width  # child-local bit count on the cut field
-        nchildren = 1 << step.width
+        shift = self.widths[level + 1][fld]  # child-local bits on the cut
         child_full = (1 << shift) - 1
         full_next = self.full_hi[level + 1]
+        others_full = all(
+            rule[1 + 2 * other] == 0
+            and rule[2 + 2 * other] == full_next[other]
+            for other in range(NUM_FIELDS) if other != fld)
+        head, tail = rule[:pos], rule[pos + 2:]
+        lo, hi = rule[pos], rule[pos + 1]
+        k_lo, k_hi = lo >> shift, hi >> shift
+        # Box-relative clips: the span's first child keeps the rule's low
+        # offset, its last child the high one, every child between is
+        # cut whole.
+        clip_lo = lo & child_full
+        clip_hi = hi & child_full if k_lo == k_hi else child_full
+        lo_id = self.intern(head + (clip_lo, clip_hi) + tail)
+        lo_full = others_full and clip_lo == 0 and clip_hi == child_full
+        mid_id = hi_id = -1
+        mid_full = hi_full = False
+        if k_hi - k_lo > 1:
+            mid_id = self.intern(head + (0, child_full) + tail)
+            mid_full = others_full
+        if k_hi > k_lo:
+            clip_hi = hi & child_full
+            hi_id = self.intern(head + (0, clip_hi) + tail)
+            hi_full = others_full and clip_hi == child_full
+        return (k_lo, k_hi, lo_id, lo_full, mid_id, mid_full, hi_id, hi_full,
+                (k_lo, k_lo + 1, k_hi, k_hi + 1))
 
-        # Precompute per rule: child span, whether the rule covers the full
-        # remaining range of every non-cut field (for cover detection).
-        spans: list[tuple[int, int, int, int, bool, FlatRule]] = []
+    def _node(self, key: tuple[int, tuple[int, ...]]) -> int:
+        """Build the node for memo ``key`` (a miss) and record it."""
+        level, ids = key
+        step = self.schedule[level]
+        nchildren = 1 << step.width
+        spans = self.spans[level]
+        records = []
         crit = {0, nchildren}
-        for rule in rules:
-            lo = rule[pos]
-            hi = rule[pos + 1]
-            k_lo = lo >> shift
-            k_hi = hi >> shift
-            others_full = True
-            for other in range(NUM_FIELDS):
-                if other == fld:
-                    continue
-                if rule[1 + 2 * other] != 0 or rule[2 + 2 * other] != full_next[other]:
-                    others_full = False
-                    break
-            spans.append((k_lo, k_hi, lo, hi, others_full, rule))
-            crit.add(k_lo)
-            crit.add(k_lo + 1)
-            crit.add(k_hi)
-            crit.add(k_hi + 1)
+        for rid in ids:
+            rec = spans.get(rid)
+            if rec is None:
+                rec = spans[rid] = self._span(level, rid)
+            records.append(rec)
+            crit.update(rec[8])
 
         # Children between consecutive critical indices have identical
-        # projections (see module docstring): build one child per run.
-        run_starts = sorted(c for c in crit if 0 <= c < nchildren)
-        run_starts.append(nchildren)
-        refs: list[int] = [REF_NO_MATCH] * nchildren
-        for run_idx in range(len(run_starts) - 1):
-            start = run_starts[run_idx]
-            end = run_starts[run_idx + 1]
-            k = start  # representative child for the whole run
-            base = k << shift
-            top = base + child_full
-            child_rules: list[FlatRule] = []
-            for k_lo, k_hi, lo, hi, others_full, rule in spans:
-                if not k_lo <= k <= k_hi:
-                    continue
-                clip_lo = lo - base if lo > base else 0
-                clip_hi = hi - base if hi < top else child_full
-                child_rules.append(
-                    rule[:pos] + (clip_lo, clip_hi) + rule[pos + 2:]
-                )
-                if others_full and clip_lo == 0 and clip_hi == child_full:
-                    break  # full cover: lower-priority rules are dead here
-            self.child_evals += 1
-            ref = self.build(level + 1, tuple(child_rules))
-            for k2 in range(start, end):
-                refs[k2] = ref
+        # projections (see module docstring): one child per run.  Each
+        # span is appended to just the runs it touches, in priority
+        # order; a run closes at its first full cover, below which
+        # lower-priority rules are dead.
+        starts = sorted(crit)  # ends with the nchildren sentinel
+        nruns = len(starts) - 1
+        run_of = {start: r for r, start in enumerate(starts)}
+        runs: list[list[int]] = [[] for _ in range(nruns)]
+        closed = [False] * nruns
+        open_runs = nruns
+        for k_lo, k_hi, lo_id, lo_full, mid_id, mid_full, hi_id, hi_full, _ \
+                in records:
+            r_lo = run_of[k_lo]
+            if not closed[r_lo]:
+                runs[r_lo].append(lo_id)
+                if lo_full:
+                    closed[r_lo] = True
+                    open_runs -= 1
+            if k_hi != k_lo:
+                r_hi = run_of[k_hi]
+                if mid_full:
+                    for r in range(r_lo + 1, r_hi):
+                        if not closed[r]:
+                            runs[r].append(mid_id)
+                            closed[r] = True
+                            open_runs -= 1
+                else:
+                    for r in range(r_lo + 1, r_hi):
+                        if not closed[r]:
+                            runs[r].append(mid_id)
+                if not closed[r_hi]:
+                    runs[r_hi].append(hi_id)
+                    if hi_full:
+                        closed[r_hi] = True
+                        open_runs -= 1
+            if not open_runs:
+                break
+
+        # The children, in run order, with build()'s checks: a run closed
+        # by its first rule is that rule's full-cover leaf.
+        child_level = level + 1
+        last_level = child_level == len(self.schedule)
+        memo = self.memo
+        refs: list[int] = []
+        for r, run in enumerate(runs):
+            if not run:
+                ref = REF_NO_MATCH
+            elif last_level or (closed[r] and len(run) == 1):
+                ref = leaf_ref(self.interned[run[0]][0])
+            else:
+                child_key = (child_level, tuple(run))
+                ref = memo.get(child_key)
+                if ref is None:
+                    ref = self._node(child_key)
+                else:
+                    self.memo_hits += 1
+            refs += [ref] * (starts[r + 1] - starts[r])
+        self.child_evals += nruns
 
         v = min(self.config.habs_bits_log2, step.width)
         node_id = len(self.nodes)
@@ -312,7 +398,7 @@ class _Builder:
             # one header word plus the compressed pointer array.
             self.meter.add_node(1 + children.compressed_slots)
         self.nodes.append(InternalNode(level, children))
-        self.memo[key] = node_id
+        memo[key] = node_id
         return node_id
 
 

@@ -33,6 +33,7 @@ estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -105,48 +106,59 @@ def pack_tree(tree: ExpCutsTree, aggregated: bool = True,
     already bounded the aggregated image, but the uncompressed ablation
     image is only sized here.
     """
-    num_levels = len(tree.schedule)
-    by_level: list[list[int]] = [[] for _ in range(num_levels)]
-    for node_id, node in enumerate(tree.nodes):
+    nodes = tree.nodes
+    if aggregated:
+        pointers = [node.children.cpa for node in nodes]
+        headers = [
+            ((node.level & 0xFF) << 24)
+            | ((node.children.u & 0xF) << 20)
+            | ((node.children.v & 0xF) << 16)
+            | (node.children.habs & 0xFFFF)
+            for node in nodes
+        ]
+    else:
+        pointers = [node.children.decompress() for node in nodes]
+        headers = [
+            ((node.level & 0xFF) << 24)
+            | (((node.children.u + node.children.v) & 0xF) << 20)
+            for node in nodes
+        ]
+    by_level: list[list[int]] = [[] for _ in tree.schedule]
+    for node_id, node in enumerate(nodes):
         by_level[node.level].append(node_id)
+    sizes = 1 + np.fromiter(map(len, pointers), dtype=np.int64,
+                            count=len(nodes))
 
-    # First pass: assign each node its word offset inside its level.
-    offsets: dict[int, int] = {}
+    # First pass: each node's word offset inside its level.
+    offsets = np.zeros(len(nodes), dtype=np.int64)
     for level_nodes in by_level:
-        cursor = 0
-        for node_id in level_nodes:
-            offsets[node_id] = cursor
-            children = tree.nodes[node_id].children
-            if aggregated:
-                cursor += 1 + children.compressed_slots
-            else:
-                cursor += 1 + children.total_slots
+        level_sizes = sizes[level_nodes]
+        offsets[level_nodes] = np.cumsum(level_sizes) - level_sizes
 
-    # Second pass: emit words.
+    # Second pass: per level, the header words at the node offsets and
+    # every pointer word (the CPAs, concatenated in node order) in one
+    # vectorised encode between them.  A leaf's payload is -ref - 1:
+    # rule_id + 1, and 0 for the no-match leaf.
+    header_words = np.array(headers, dtype=np.int64)
     levels: list[np.ndarray] = []
-    for level, level_nodes in enumerate(by_level):
-        words: list[int] = []
-        for node_id in level_nodes:
-            node = tree.nodes[node_id]
-            ch = node.children
-            if aggregated:
-                header = (
-                    ((node.level & 0xFF) << 24)
-                    | ((ch.u & 0xF) << 20)
-                    | ((ch.v & 0xF) << 16)
-                    | (ch.habs & 0xFFFF)
-                )
-                words.append(header)
-                words.extend(encode_ref(ref, offsets) for ref in ch.cpa)
-            else:
-                header = ((node.level & 0xFF) << 24) | (((ch.u + ch.v) & 0xF) << 20)
-                words.append(header)
-                words.extend(encode_ref(ref, offsets) for ref in ch.decompress())
+    for level_nodes in by_level:
+        total = int(sizes[level_nodes].sum())
+        refs = np.fromiter(
+            chain.from_iterable(pointers[i] for i in level_nodes),
+            dtype=np.int64, count=total - len(level_nodes))
+        starts = offsets[level_nodes]
+        is_pointer = np.ones(total, dtype=bool)
+        is_pointer[starts] = False
+        words = np.empty(total, dtype=np.uint32)
+        words[starts] = header_words[level_nodes]
+        words[is_pointer] = np.where(refs >= 0, offsets[np.maximum(refs, 0)],
+                                     int(LEAF_FLAG) | (-refs - 1))
         if meter is not None:
-            meter.add_words(len(words))
-        levels.append(np.array(words, dtype=np.uint32))
+            meter.add_words(total)
+        levels.append(words)
 
-    root_ptr = encode_ref(tree.root_ref, offsets)
+    root = tree.root_ref
+    root_ptr = int(offsets[root]) if root >= 0 else encode_ref(root, {})
     return TreeImage(
         levels=levels, root_ptr=root_ptr, stride=tree.stride,
         aggregated=aggregated, tree=tree,

@@ -1126,6 +1126,9 @@ def _storm_report(runs: list[SoakRun]) -> Report:
         "updates_applied": updates,
         "worker_kills": kills,
         "replayed_deltas": replayed,
+        # A full run's update_repairs depends on real-time message
+        # arrival, so it is reported, never pinned; quick runs are
+        # byte-identical.
         **{name: run.count(name)
            for name in ("epochs", "worker_deaths", "restarts",
                         "delta_compactions", "update_repairs",

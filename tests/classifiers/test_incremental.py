@@ -9,6 +9,8 @@ drives random sequences against the linear oracle, and deterministic
 churn replays check each algorithm end to end.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +110,33 @@ def test_expcuts_garbage_fraction_equals_full_walk(churn_pool, edit_budget):
     assert clf.stats.incremental_inserts > 0
     del clf.base.tree.build_stats["layout_words"]
     assert clf.base.garbage_fraction() == full_walk_fraction()
+
+
+#: SHA-256 of the per-op ``(len(tree.nodes), garbage_words,
+#: layout_words)`` of an ExpCuts tree under a seeded CR01 churn replay,
+#: pinned before the builder interned its memo keys: copy-on-write
+#: inserts rebuild subtrees through the same builder as a full build.
+EXPCUTS_CHURN_DIGEST = (
+    "3026e02184a85769f51242b21060e133918694bd2b68c47c6f6243937b4f1513")
+
+
+def test_expcuts_churn_structure_pinned():
+    ruleset = generate(PROFILES["CR01"], size=48, seed=17).with_default()
+    clf = UpdatableClassifier(ruleset, ExpCutsClassifier,
+                              rebuild_threshold=16, incremental=True,
+                              edit_budget=256, compaction_watermark=0.3)
+    h = hashlib.sha256()
+    for op in churn_sequence(ruleset, 80, seed=17, flap_rate=0.3):
+        if op[0] == "insert":
+            clf.insert(op[2], op[1])
+        else:
+            clf.remove(op[1])
+        tree = clf.base.tree
+        h.update(repr((len(tree.nodes),
+                       tree.build_stats.get("garbage_words", 0),
+                       tree.layout_words())).encode())
+    assert clf.stats.incremental_inserts > 0
+    assert h.hexdigest() == EXPCUTS_CHURN_DIGEST
 
 
 def test_compaction_reclaims_tombstones():

@@ -1,7 +1,12 @@
 """ExpCuts tree construction tests: invariants, leaves, sharing soundness."""
 
+import hashlib
+
+import pytest
 from hypothesis import given, settings
 
+from repro.core.budget import BuildBudget
+from repro.core.errors import BuildBudgetExceeded
 from repro.core.expcuts import (
     ExpCutsConfig,
     REF_NO_MATCH,
@@ -9,7 +14,9 @@ from repro.core.expcuts import (
     leaf_ref,
     ref_rule_id,
 )
+from repro.core.layout import pack_tree
 from repro.core.rule import Rule, RuleSet
+from repro.rulesets import paper_ruleset
 
 from ..conftest import header_strategy, ruleset_strategy
 
@@ -23,8 +30,6 @@ class TestRefEncoding:
         assert ref_rule_id(REF_NO_MATCH) is None
 
     def test_internal_refs_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             ref_rule_id(0)
 
@@ -74,8 +79,6 @@ class TestTreeShape:
         assert tree.build_stats["memo_hits"] > 0
 
     def test_max_nodes_guard(self, small_cr_ruleset):
-        import pytest
-
         with pytest.raises(MemoryError):
             build_expcuts(small_cr_ruleset, ExpCutsConfig(max_nodes=3))
 
@@ -136,3 +139,87 @@ def test_boundary_probe_equivalence(ruleset, header):
         corners_hi = tuple(iv.hi for iv in rule.intervals)
         assert tree.classify(corners_hi) == ruleset.first_match(corners_hi)
     assert tree.classify(header) == ruleset.first_match(header)
+
+
+def image_digest(tree, aggregated: bool) -> str:
+    """SHA-256 of a packed image: per-level word counts, the root
+    pointer, then every level's little-endian words."""
+    image = pack_tree(tree, aggregated=aggregated)
+    h = hashlib.sha256()
+    h.update(repr((image.level_words(), image.root_ptr)).encode())
+    for segment in image.levels:
+        h.update(segment.astype("<u4").tobytes())
+    return h.hexdigest()
+
+
+#: Per paper rule set: the build counters, then the image digest with
+#: and without aggregation.  Pinned before the builder interned its
+#: memo keys: a builder change that moves a node, a count or an image
+#: word must be deliberate.
+PAPER_PINS = {
+    "FW01": (
+        {"unique_nodes": 1098, "memo_hits": 3152, "child_evaluations": 6548,
+         "layout_words": 49978},
+        "746ca607fa39732a44b9c07b5d0a8fd3285ccbaf6f9c84183ea029b29c1cff23",
+        "ee76af7634c1d78d7bad71531fb50b16616193f6002a101cfc6c867af81cd1d5",
+    ),
+    "CR01": (
+        {"unique_nodes": 9705, "memo_hits": 34695,
+         "child_evaluations": 54986, "layout_words": 398697},
+        "494695b978513e09d11a38982d1b3be4641316df4c3990d54ba5eb852259fe12",
+        "0c48fc2097443a65e1e1833c772308e8a74319a59140858db8feb14dae9e3cca",
+    ),
+}
+
+#: FW03's (unique_nodes, memo_hits, child_evaluations): the edge
+#: service's rule set, and the build ``benchmarks/bench_core_ops.py``
+#: times.
+FW03_COUNTS = (20_463, 93_712, 162_250)
+
+#: ``(max_nodes, layout words charged when the budget trips)`` on CR01:
+#: the words pin the order the builder allocates (and charges) nodes in.
+BUDGET_TRIPS = [(0, 0), (1, 49), (500, 20452), (5000, 208536)]
+
+
+@pytest.fixture(scope="module")
+def paper_trees():
+    return {name: build_expcuts(paper_ruleset(name)) for name in PAPER_PINS}
+
+
+class TestPaperRuleSetPins:
+    @pytest.mark.parametrize("name", sorted(PAPER_PINS))
+    def test_build_stats(self, paper_trees, name):
+        stats, _, _ = PAPER_PINS[name]
+        built = paper_trees[name].build_stats
+        assert {key: built[key] for key in stats} == stats
+
+    @pytest.mark.parametrize("aggregated", [True, False])
+    @pytest.mark.parametrize("name", sorted(PAPER_PINS))
+    def test_image_digest(self, paper_trees, name, aggregated):
+        _, with_agg, without = PAPER_PINS[name]
+        expected = with_agg if aggregated else without
+        assert image_digest(paper_trees[name], aggregated) == expected
+
+    def test_fw03_counts(self):
+        stats = build_expcuts(paper_ruleset("FW03")).build_stats
+        assert (stats["unique_nodes"], stats["memo_hits"],
+                stats["child_evaluations"]) == FW03_COUNTS
+
+
+class TestBudgetCharges:
+    @pytest.mark.parametrize("max_nodes, words", BUDGET_TRIPS)
+    def test_node_budget_trips_at_the_same_charge(self, max_nodes, words):
+        meter = BuildBudget(max_nodes=max_nodes).meter("expcuts")
+        with pytest.raises(BuildBudgetExceeded) as info:
+            build_expcuts(paper_ruleset("CR01"), meter=meter)
+        assert info.value.limit == "nodes"
+        assert meter.nodes == max_nodes + 1
+        assert meter.words == words
+
+    @pytest.mark.parametrize("aggregated", [True, False])
+    def test_pack_charges_exactly_the_image(self, paper_trees, aggregated):
+        meter = BuildBudget().meter("expcuts")
+        image = pack_tree(paper_trees["CR01"], aggregated=aggregated,
+                          meter=meter)
+        assert meter.words == image.total_words
+        assert meter.nodes == 0

@@ -1,10 +1,20 @@
 """Word-image packing tests (Figure 4 encoding)."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.expcuts import build_expcuts, leaf_ref, REF_NO_MATCH
+from repro.core.expcuts import (
+    ExpCutsConfig,
+    REF_NO_MATCH,
+    build_expcuts,
+    flat_projection,
+    insert_into_tree,
+    leaf_ref,
+)
 from repro.core.layout import (
     LEAF_FLAG,
     PTR_NO_MATCH,
@@ -128,3 +138,57 @@ def test_both_layouts_encode_identical_pointers(ruleset):
         # different offsets, so only compare when leaves were reached).
         if not isinstance(a, tuple) and not isinstance(b, tuple):
             assert a == b
+
+
+def _loop_pack(tree, aggregated):
+    """Reference packer: the node-by-node loop ``pack_tree`` vectorises.
+    Returns ``(levels as lists of words, root_ptr)``."""
+    by_level = [[] for _ in tree.schedule]
+    for node_id, node in enumerate(tree.nodes):
+        by_level[node.level].append(node_id)
+    offsets = {}
+    for level_nodes in by_level:
+        cursor = 0
+        for node_id in level_nodes:
+            offsets[node_id] = cursor
+            ch = tree.nodes[node_id].children
+            cursor += 1 + (ch.compressed_slots if aggregated
+                           else ch.total_slots)
+    levels = []
+    for level_nodes in by_level:
+        words = []
+        for node_id in level_nodes:
+            node = tree.nodes[node_id]
+            ch = node.children
+            if aggregated:
+                words.append((node.level << 24) | (ch.u << 20) | (ch.v << 16)
+                             | ch.habs)
+                words.extend(encode_ref(ref, offsets) for ref in ch.cpa)
+            else:
+                words.append((node.level << 24) | ((ch.u + ch.v) << 20))
+                words.extend(encode_ref(ref, offsets)
+                             for ref in ch.decompress())
+        levels.append(words)
+    return levels, encode_ref(tree.root_ref, offsets)
+
+
+@given(ruleset_strategy(max_rules=8), st.sampled_from([4, 8]))
+@settings(max_examples=30, deadline=None)
+def test_pack_matches_the_node_loop(ruleset, stride):
+    """The vectorised packer emits exactly the reference loop's words,
+    also for a tree carrying copy-on-write garbage nodes."""
+    tree = build_expcuts(ruleset, ExpCutsConfig(stride=stride))
+    trees = [tree]
+    if len(ruleset):
+        # A copy of rule 0 under a new id, outranking every rule.
+        edited = copy.deepcopy(tree)
+        rule = (len(ruleset),) + flat_projection(ruleset)[0][1:]
+        insert_into_tree(edited, rule, lambda existing: True)
+        trees.append(edited)
+    for candidate in trees:
+        for aggregated in (True, False):
+            image = pack_tree(candidate, aggregated=aggregated)
+            levels, root_ptr = _loop_pack(candidate, aggregated)
+            assert [seg.tolist() for seg in image.levels] == levels
+            assert image.root_ptr == root_ptr
+            assert type(image.root_ptr) is int
