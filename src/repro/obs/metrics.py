@@ -128,25 +128,34 @@ class LogHistogram:
         self._min: float | None = None
         self._max: float | None = None
 
-    def _index(self, value: float) -> int:
-        if value < self.MIN_TRACKABLE:
-            return self.ZERO_BUCKET
-        if value >= self.MAX_TRACKABLE:
-            return self._MAX_INDEX
-        idx = math.floor(math.log(value) / self._LOG_GROWTH)
-        return min(max(idx, self._MIN_INDEX), self._MAX_INDEX)
-
     def observe(self, value: float) -> None:
-        if value != value:  # NaN: an instrument must never raise
+        """Count ``value``: below ``MIN_TRACKABLE`` (negatives count as
+        0) in the zero bucket, at or above ``MAX_TRACKABLE`` (inf too)
+        as ``MAX_TRACKABLE`` in the top bucket.  NaN is dropped: an
+        instrument must never raise."""
+        value = float(value)
+        if _MIN_TRACKABLE <= value < _MAX_TRACKABLE:
+            # In range, floor(log_g(value)) already lies within
+            # [_MIN_INDEX, _MAX_INDEX]: no clamp is needed.
+            idx = _floor(_ln(value) / _LOG_GROWTH)
+        elif value >= _MAX_TRACKABLE:
+            value = _MAX_TRACKABLE
+            idx = self._MAX_INDEX
+        elif value < _MIN_TRACKABLE:
+            value = max(value, 0.0)
+            idx = self.ZERO_BUCKET
+        else:  # NaN
             return
-        value = min(max(float(value), 0.0), self.MAX_TRACKABLE)
-        idx = self._index(value)
-        self.counts[idx] = self.counts.get(idx, 0) + 1
+        counts = self.counts
+        counts[idx] = counts.get(idx, 0) + 1
         self.total += 1
         self._sum += value
-        if self._min is None or value < self._min:
+        low = self._min
+        if low is None:
+            self._min = self._max = value
+        elif value < low:
             self._min = value
-        if self._max is None or value > self._max:
+        elif value > self._max:
             self._max = value
 
     @property
@@ -231,6 +240,15 @@ class LogHistogram:
                 f"p50={self.percentile(0.5):.3g} max={self.max:.3g}>")
 
 
+#: What :meth:`LogHistogram.observe` reads per event, as module globals
+#: (a global read is cheaper than a class attribute read through self).
+_MIN_TRACKABLE = LogHistogram.MIN_TRACKABLE
+_MAX_TRACKABLE = LogHistogram.MAX_TRACKABLE
+_LOG_GROWTH = LogHistogram._LOG_GROWTH
+_ln = math.log
+_floor = math.floor
+
+
 class _NullInstrument:
     """Shared no-op stand-in for every instrument type when disabled."""
 
@@ -299,7 +317,8 @@ class BoundInstrument:
         return inst
 
     def inc(self, amount: int | float = 1) -> None:
-        (self._inst or self._resolve()).inc(amount)
+        # Counter.inc inlined: one call per event, not two.
+        (self._inst or self._resolve()).value += amount
 
     def observe(self, value: float) -> None:
         (self._inst or self._resolve()).observe(value)

@@ -38,16 +38,27 @@ def repo_root(start: Path | None = None) -> Path:
     return Path(__file__).resolve().parents[3]
 
 
-def git_sha(root: Path | None = None) -> str | None:
+def _git(root: Path | None, *args: str) -> str | None:
+    """``git <args>``'s stripped stdout in ``root``, or ``None`` when git
+    is missing or fails (not a work tree, say)."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=root or repo_root(), capture_output=True, text=True, timeout=10,
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def git_sha(root: Path | None = None) -> str | None:
+    return _git(root, "rev-parse", "HEAD") or None
+
+
+def git_dirty(root: Path | None = None) -> bool | None:
+    """Does the work tree differ from ``HEAD`` (``None``: not known)?"""
+    status = _git(root, "status", "--porcelain")
+    return None if status is None else bool(status)
 
 
 def extract_throughput(data: object, _prefix: str = "",
@@ -90,6 +101,11 @@ def write_bench_record(name: str, metrics: dict[str, float],
     recorded for the trajectory but never rate-compared.  ``clock``
     names the clock domain the metrics were measured on (``"real"`` or
     ``"simulated"``) and is recorded when given.
+
+    ``git_sha`` is ``HEAD`` when the record is written, so a record
+    written before its commit names the commit before the code it
+    measured; ``git_dirty: true`` then says the measured code was
+    ``HEAD`` plus the uncommitted changes of the work tree.
     """
     root = root if root is not None else repo_root()
     payload = {
@@ -100,6 +116,8 @@ def write_bench_record(name: str, metrics: dict[str, float],
         "git_sha": git_sha(root),
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
+    if git_dirty(root):
+        payload["git_dirty"] = True
     if clock is not None:
         payload["clock"] = clock
     if extra:

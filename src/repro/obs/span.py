@@ -19,7 +19,7 @@ Usage::
 
     timer = StageTimer(clock=clock)          # e.g. a ManualClock
     with timer.span("classify"):
-        result = replica.lookup(header, now)
+        result = classifier.classify(header)
     ...
     timer.check_attribution(wall_s=clock.now)   # sum must cover the run
 """

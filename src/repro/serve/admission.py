@@ -9,10 +9,11 @@ every decision counted under ``<scope>.requests`` / ``<scope>.admitted``
 / ``<scope>.shed.<reason>`` so the two layers expose the same metric
 shape (``serve.*`` and ``fabric.*`` respectively).
 
-The gate owns the lock it needs and exposes it (:attr:`AdmissionGate.lock`)
-so an owner can serialise its own structure access under the *same*
-lock — the single-lock discipline the breaker and the update machinery
-rely on.
+The gate owns the lock and exposes it (:attr:`AdmissionGate.lock`); its
+owner holds it around :meth:`~AdmissionGate.admit`, its own structure
+access and :meth:`~AdmissionGate.release`, so one lock hold covers a
+request from admission to release — the single-lock discipline the
+breaker and the update machinery rely on.
 
 :class:`ServingFrame` wraps the gate in the rest of what both front
 ends share: defaults, private metrics, stop/drain and metric access.
@@ -40,6 +41,8 @@ class AdmissionGate:
     stopping → queue_full → rate_limited.  A request shed for being
     over the in-flight bound must not also consume a token.
     ``max_in_flight`` is at least 1, as :class:`ServicePolicy` checks.
+    The caller holds :attr:`lock` around :meth:`admit`,
+    :meth:`admit_burst`, :meth:`release` and :meth:`release_many`.
     """
 
     def __init__(self, scope: MetricScope, max_in_flight: int,
@@ -69,23 +72,20 @@ class AdmissionGate:
         or :class:`AdmissionRejected` (``queue_full``/``rate_limited``),
         each already counted under ``<scope>.shed.<reason>``.
         """
-        with self.lock:
-            self._requests.inc()
-            if self._stopped:
-                self._shed("stopped")
-            if self._draining:
-                self._shed("stopping")
-            if self._in_flight >= self._max_in_flight:
-                self._shed("queue_full")
-            if self._bucket is not None and not self._bucket.try_acquire(tokens):
-                self._shed("rate_limited")
-            self._admitted.inc()
-            self._in_flight += 1
-            self._seq += 1
-            return self._seq
+        self._requests.inc()
+        if self._draining:  # set by begin_drain and by mark_stopped
+            self._shed("stopped" if self._stopped else "stopping")
+        if self._in_flight >= self._max_in_flight:
+            self._shed("queue_full")
+        if self._bucket is not None and not self._bucket.try_acquire(tokens):
+            self._shed("rate_limited")
+        self._admitted.inc()
+        self._in_flight += 1
+        self._seq += 1
+        return self._seq
 
     def admit_burst(self, n: int) -> list[str | None]:
-        """Admit or shed ``n`` requests in one lock hold.
+        """Admit or shed ``n`` requests in one call.
 
         Returns each request's shed reason in order, ``None`` where it
         was admitted.  Decisions, counters and the in-flight count are
@@ -96,40 +96,39 @@ class AdmissionGate:
         """
         if n <= 0:
             return []
-        with self.lock:
-            self._requests.inc(n)
-            if self._stopped or self._draining:
-                reason = "stopped" if self._stopped else "stopping"
-                self._sheds[reason].inc(n)
-                return [reason] * n
-            room = self._max_in_flight - self._in_flight
-            if self._bucket is None:
-                admitted = min(max(room, 0), n)
-                decisions = [None] * admitted
-            else:
-                # A rate-limited request leaves the in-flight count as
-                # it was, so the next one still reaches the bucket.
-                acquire = self._bucket.try_acquire
-                decisions = []
-                admitted = 0
-                while len(decisions) < n and admitted < room:
-                    if acquire(1.0):
-                        decisions.append(None)
-                        admitted += 1
-                    else:
-                        decisions.append("rate_limited")
-                limited = len(decisions) - admitted
-                if limited:
-                    self._sheds["rate_limited"].inc(limited)
-            full = n - len(decisions)
-            if full:
-                decisions.extend(["queue_full"] * full)
-                self._sheds["queue_full"].inc(full)
-            if admitted:
-                self._admitted.inc(admitted)
-                self._in_flight += admitted
-                self._seq += admitted
-            return decisions
+        self._requests.inc(n)
+        if self._stopped or self._draining:
+            reason = "stopped" if self._stopped else "stopping"
+            self._sheds[reason].inc(n)
+            return [reason] * n
+        room = self._max_in_flight - self._in_flight
+        if self._bucket is None:
+            admitted = min(max(room, 0), n)
+            decisions = [None] * admitted
+        else:
+            # A rate-limited request leaves the in-flight count as
+            # it was, so the next one still reaches the bucket.
+            acquire = self._bucket.try_acquire
+            decisions = []
+            admitted = 0
+            while len(decisions) < n and admitted < room:
+                if acquire(1.0):
+                    decisions.append(None)
+                    admitted += 1
+                else:
+                    decisions.append("rate_limited")
+            limited = len(decisions) - admitted
+            if limited:
+                self._sheds["rate_limited"].inc(limited)
+        full = n - len(decisions)
+        if full:
+            decisions.extend(["queue_full"] * full)
+            self._sheds["queue_full"].inc(full)
+        if admitted:
+            self._admitted.inc(admitted)
+            self._in_flight += admitted
+            self._seq += admitted
+        return decisions
 
     def _shed(self, reason: str) -> None:
         self._sheds[reason].inc()
@@ -139,20 +138,18 @@ class AdmissionGate:
 
     def release(self) -> None:
         """An admitted request finished (served or failed)."""
-        with self.lock:
-            self._in_flight -= 1
-            if self._draining:
-                # Only a drain waits on the condition (wait_drained).
-                self._cond.notify_all()
+        self._in_flight -= 1
+        if self._draining:
+            # Only a drain waits on the condition (wait_drained).
+            self._cond.notify_all()
 
     def release_many(self, k: int) -> None:
         """``k`` admitted requests finished (one :meth:`release` each)."""
         if k <= 0:
             return
-        with self.lock:
-            self._in_flight -= k
-            if self._draining:
-                self._cond.notify_all()
+        self._in_flight -= k
+        if self._draining:
+            self._cond.notify_all()
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -93,14 +93,33 @@ class CircuitBreaker:
         linear slow path): correct but over the latency contract, so
         they count as slow regardless of measured time.
         """
-        slow = degraded or elapsed_s >= self.policy.slow_call_s
-        self._record(ok=True, slow=slow)
+        self._record(True, degraded or elapsed_s >= self.policy.slow_call_s)
 
     def record_failure(self, elapsed_s: float = 0.0) -> None:
         """A call failed (transient error, timeout, fault)."""
-        self._record(ok=False, slow=elapsed_s >= self.policy.slow_call_s)
+        self._record(False, elapsed_s >= self.policy.slow_call_s)
 
     def _record(self, ok: bool, slow: bool) -> None:
+        if self.state == CLOSED:
+            window = self._window
+            if len(window) == window.maxlen:
+                evicted_ok, evicted_slow = window[0]
+                self._failures -= not evicted_ok
+                self._slows -= evicted_slow
+            window.append((ok, slow))
+            n = len(window)
+            if ok and not slow:
+                # Neither count rose and the window did not shrink, so
+                # the rates cannot have crossed a threshold, unless the
+                # window only now holds enough calls to be trusted.
+                if n == self.policy.breaker_min_calls:
+                    self._check_rates(n)
+                return
+            self._failures += not ok
+            self._slows += slow
+            if n >= self.policy.breaker_min_calls:
+                self._check_rates(n)
+            return
         if self.state == HALF_OPEN:
             self._half_open_in_flight = max(0, self._half_open_in_flight - 1)
             if not ok:
@@ -116,20 +135,11 @@ class CircuitBreaker:
                 self._transition(CLOSED, "probes succeeded")
                 self._clear_window()
             return
-        if self.state == OPEN:
-            # Stragglers dispatched before the trip: informational only.
-            return
-        window = self._window
-        if len(window) == window.maxlen:
-            evicted_ok, evicted_slow = window[0]
-            self._failures -= not evicted_ok
-            self._slows -= evicted_slow
-        window.append((ok, slow))
-        self._failures += not ok
-        self._slows += slow
-        n = len(window)
-        if n < self.policy.breaker_min_calls:
-            return
+        # OPEN: stragglers dispatched before the trip are informational.
+
+    def _check_rates(self, n: int) -> None:
+        """Open if the window's failure or slow-call rate is over its
+        threshold (``n`` calls, at least ``breaker_min_calls``)."""
         if self._failures / n >= self.policy.failure_rate_threshold:
             self._open(f"failure rate {self._failures}/{n}")
         elif self._slows / n >= self.policy.slow_call_rate_threshold:

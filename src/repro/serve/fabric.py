@@ -534,16 +534,16 @@ class Fabric(ServingFrame):
         linear oracle in-lock.  The header travels as a one-row burst
         through the same shard path as :meth:`classify_batch`.
         """
-        with self.stages.span("admission"):
-            self._gate.admit()
-        try:
-            with self._lock:
+        with self._lock:
+            with self.stages.span("admission"):
+                self._gate.admit()
+            try:
                 shard = self.specs[self.plan.route(header)].name
                 answers, elapsed = self._serve_shard(shard,
                                                      pack_rows((header,)))
                 self._latency_us.observe(elapsed * 1e6)
-        finally:
-            self._gate.release()
+            finally:
+                self._gate.release()
         answer = int(answers[0])
         return None if answer < 0 else answer
 

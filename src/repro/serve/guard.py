@@ -152,15 +152,18 @@ class FloodGuard:
         klass_offered.inc()
         if not checksum_ok:
             self._shed("bad_checksum", klass_scope)
-        key = self.connection_key(header)
+        # Only handshake and teardown packets read connection state, so
+        # DATA and SYNACK packets never build the key.
         if kind == SYN:
-            self._police_syn(key, klass_scope)
+            self._police_syn(self.connection_key(header), klass_scope)
         elif kind == ACK:
+            key = self.connection_key(header)
             if key in self._half_open:
                 del self._half_open[key]
                 self._remember(self._established, key, ESTABLISHED_CAPACITY)
                 self._handshakes.inc()
         elif kind in (FIN, FINACK):
+            key = self.connection_key(header)
             self._half_open.pop(key, None)
             self._established.pop(key, None)
         result = self._classify(header)

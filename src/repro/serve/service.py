@@ -63,19 +63,16 @@ from .policy import ServicePolicy
 #: (a programming mistake must not be retried into the logs).
 RETRYABLE_ERRORS = (TransientServiceError, ChannelOfflineError, SnapshotError)
 
-#: The deadline of every request without a budget: never expires, so a
-#: request without one builds no per-request deadline object.
-NO_DEADLINE = Deadline(None, clock=lambda: 0.0)
-
 
 class Replica:
     """One serving endpoint: a classifier plus its circuit breaker.
 
     ``fault_hook(now)`` is the injection point for the soak harness and
-    tests: called before every lookup with the current clock reading, it
-    may raise a retryable error (modelling an SRAM channel outage or a
-    rebuild window) and may advance a :class:`ManualClock` to model
-    service time.  Production replicas leave it ``None``.
+    tests: the service calls it before every lookup with the current
+    clock reading; it may raise a retryable error (modelling an SRAM
+    channel outage or a rebuild window) and may advance a
+    :class:`ManualClock` to model service time.  Production replicas
+    leave it ``None``.
     """
 
     def __init__(self, name: str, classifier,
@@ -84,15 +81,6 @@ class Replica:
         self.classifier = classifier
         self.fault_hook = fault_hook
         self.breaker: CircuitBreaker | None = None  # wired by the service
-
-    def is_degraded(self) -> bool:
-        """Serving off the linear slow path (budget-degraded swap)?"""
-        return getattr(self.classifier, "degradation", None) == "linear"
-
-    def lookup(self, header: Sequence[int], now: float) -> int | None:
-        if self.fault_hook is not None:
-            self.fault_hook(now)
-        return self.classifier.classify(header)
 
 
 class ClassificationService(ServingFrame):
@@ -142,90 +130,93 @@ class ClassificationService(ServingFrame):
         :class:`CircuitOpenError` (no replica available) or
         :class:`RetriesExhausted`; any answer actually returned was
         produced within the deadline by a breaker-approved replica.
-        """
-        with self.stages.span("admission"):
-            seq = self._gate.admit()
-        try:
-            budget = (self.policy.default_deadline_s
-                      if deadline_s is None else deadline_s)
-            deadline = (NO_DEADLINE if budget is None
-                        else Deadline(budget, clock=self._clock))
-            return self._classify_admitted(header, seq, deadline)
-        finally:
-            self._gate.release()
 
-    def _classify_admitted(self, header, seq: int,
-                           deadline: Deadline) -> int | None:
+        One lock hold covers admission, every attempt (pick, lookup,
+        audit capture and breaker record see the same replica and rule
+        state) and release; only a retry's backoff sleeps outside it.
+        The deadline, audit and retry steps run only when a budget,
+        ``shadow``/``oracle_check`` or a retryable error calls for them.
+        """
         policy = self.policy
-        retry = policy.retry
+        budget = (policy.default_deadline_s if deadline_s is None
+                  else deadline_s)
         audits = policy.shadow or policy.oracle_check
-        last_error: BaseException | None = None
-        failed_here: set[Replica] = set()
-        for attempt in range(1, retry.max_attempts + 1):
+        max_attempts = policy.retry.max_attempts
+        with self._lock:
+            with self.stages.span("admission"):
+                seq = self._gate.admit()
             try:
-                deadline.check()
-            except DeadlineExceeded:
-                self._deadline_exceeded.inc()
-                raise
-            # One lock hold per attempt: pick, lookup, audit capture and
-            # the breaker record see the same replica and rule state.
-            with self._lock:
-                try:
-                    replica = self._pick_replica(failed_here)
-                except CircuitOpenError:
-                    # A breaker may reach half-open after the cool-down,
-                    # so an all-open moment is itself transient.
-                    if attempt >= retry.max_attempts:
-                        raise
-                    replica = None
-                if replica is not None:
+                deadline = (None if budget is None
+                            else Deadline(budget, clock=self._clock))
+                failed_here: list[Replica] = []
+                last_error: BaseException | None = None
+                for attempt in range(1, max_attempts + 1):
+                    if attempt > 1:
+                        self._retries.inc()
+                        self._backoff(policy.retry.delay(seq, attempt - 1),
+                                      deadline)
+                    if deadline is not None:
+                        self._check_deadline(deadline)
+                    try:
+                        replica = self._pick_replica(failed_here)
+                    except CircuitOpenError:
+                        # A breaker may reach half-open after the
+                        # cool-down, so an all-open moment is itself
+                        # transient.
+                        if attempt == max_attempts:
+                            raise
+                        continue
                     start = self._clock()
                     try:
                         with self.stages.span("classify"):
-                            result = replica.lookup(header, start)
-                            # Capture the differential answers under the
-                            # SAME lock hold as the lookup: an update
-                            # landing in between would otherwise be
-                            # compared against a newer rule list and
-                            # flagged as a false divergence.
+                            if replica.fault_hook is not None:
+                                replica.fault_hook(start)
+                            result = replica.classifier.classify(header)
+                            # Captured in the lookup's lock hold: an
+                            # update landing in between would be compared
+                            # against a newer rule list and flagged as a
+                            # false divergence.
                             audit = (self._capture_audit(replica, header)
                                      if audits else None)
                     except RETRYABLE_ERRORS as exc:
                         replica.breaker.record_failure(self._clock() - start)
                         self._transient_failures.inc()
-                        failed_here.add(replica)
+                        failed_here.append(replica)
                         last_error = exc
-                        replica = None
-                    else:
-                        elapsed = self._clock() - start
-                        replica.breaker.record_success(
-                            elapsed, degraded=replica.is_degraded())
-            if replica is None:
-                if attempt < retry.max_attempts:
-                    self._retries.inc()
-                    self._backoff(retry.delay(seq, attempt), deadline)
-                continue
-            try:
-                deadline.check()
-            except DeadlineExceeded:
-                # Too late: the caller's SLO is gone, a late answer is a
-                # wrong answer.  Count it, drop it, raise typed.
-                self._deadline_exceeded.inc()
-                raise
-            if audit is not None:
-                with self.stages.span("audit"):
-                    self._check_audit(audit, result)
-            self._served.inc()
-            self._latency_us.observe(elapsed * 1e6)
-            return result
-        self._retries_exhausted.inc()
-        raise RetriesExhausted(
-            f"no replica answered within {retry.max_attempts} attempts "
-            f"(last: {last_error!r})",
-            attempts=retry.max_attempts, last=last_error,
-        )
+                        continue
+                    elapsed = self._clock() - start
+                    # An answer off the budget-degraded linear slow path
+                    # counts as slow.
+                    replica.breaker.record_success(elapsed, getattr(
+                        replica.classifier, "degradation", None) == "linear")
+                    if deadline is not None:
+                        # A late answer is a wrong answer to the caller's
+                        # SLO: count it, drop it.
+                        self._check_deadline(deadline)
+                    self._served.inc()
+                    self._latency_us.observe(elapsed * 1e6)
+                    if audit is not None:
+                        with self.stages.span("audit"):
+                            self._check_audit(audit, result)
+                    return result
+                self._retries_exhausted.inc()
+                raise RetriesExhausted(
+                    f"no replica answered within {max_attempts} attempts "
+                    f"(last: {last_error!r})",
+                    attempts=max_attempts, last=last_error,
+                )
+            finally:
+                self._gate.release()
 
-    def _pick_replica(self, failed_here: set[Replica] = frozenset()) -> Replica:
+    def _check_deadline(self, deadline: Deadline) -> None:
+        """Raise :class:`DeadlineExceeded`, counted, once it passed."""
+        try:
+            deadline.check()
+        except DeadlineExceeded:
+            self._deadline_exceeded.inc()
+            raise
+
+    def _pick_replica(self, failed_here: list[Replica]) -> Replica:
         """First breaker-approved replica in priority order.
 
         ``failed_here`` holds replicas that already failed *this*
@@ -247,14 +238,18 @@ class ClassificationService(ServingFrame):
         raise CircuitOpenError(
             f"all {len(self.replicas)} replica breakers are open")
 
-    def _backoff(self, delay: float, deadline: Deadline) -> None:
-        """Sleep before a retry, never past the deadline."""
-        remaining = deadline.remaining()
-        if remaining != float("inf"):
-            delay = min(delay, remaining)
+    def _backoff(self, delay: float, deadline: Deadline | None) -> None:
+        """Sleep before a retry, never past the deadline, with the
+        service lock released so other requests and updates proceed."""
+        if deadline is not None:
+            delay = min(delay, deadline.remaining())
         if delay > 0:
-            with self.stages.span("backoff"):
-                self._sleep(delay)
+            self._lock.release()
+            try:
+                with self.stages.span("backoff"):
+                    self._sleep(delay)
+            finally:
+                self._lock.acquire()
 
     def _capture_audit(self, replica: Replica, header) -> dict:
         """Gather the differential answers (policy-gated).

@@ -89,6 +89,84 @@ class TestBoundedBuckets:
         assert hist.total == len(values)
 
 
+def _reference_fill(values):
+    """The bucket formula ``observe`` had before it was inlined (clamp
+    the value, then clamp ``floor(log_g(value))`` into the index range),
+    kept as the reference: every observation must land in the same
+    bucket and feed the same total, sum, min and max."""
+    h = LogHistogram
+    counts, total, total_sum, low, high = {}, 0, 0.0, None, None
+    for value in values:
+        if value != value:
+            continue
+        value = min(max(float(value), 0.0), h.MAX_TRACKABLE)
+        if value < h.MIN_TRACKABLE:
+            idx = h.ZERO_BUCKET
+        elif value >= h.MAX_TRACKABLE:
+            idx = h._MAX_INDEX
+        else:
+            idx = math.floor(math.log(value) / h._LOG_GROWTH)
+            idx = min(max(idx, h._MIN_INDEX), h._MAX_INDEX)
+        counts[idx] = counts.get(idx, 0) + 1
+        total += 1
+        total_sum += value
+        if low is None or value < low:
+            low = value
+        if high is None or value > high:
+            high = value
+    return counts, total, total_sum, low, high
+
+
+def _assert_matches_reference(values):
+    hist = _fill(values)
+    counts, total, total_sum, low, high = _reference_fill(values)
+    assert hist.counts == counts
+    assert hist.total == total
+    # repr tells -0.0 from 0.0 and None from a number.
+    assert repr(hist._sum) == repr(total_sum)
+    assert repr(hist._min) == repr(low)
+    assert repr(hist._max) == repr(high)
+
+
+_MIN, _MAX = LogHistogram.MIN_TRACKABLE, LogHistogram.MAX_TRACKABLE
+_INF, _NAN = float("inf"), float("nan")
+#: The values whose clamps and buckets are edge cases.
+_EDGE_VALUES = [
+    _NAN, -_INF, -1.0, -1e-300, -0.0, 0.0, 5e-324, 1e-10,
+    math.nextafter(_MIN, 0.0), _MIN, math.nextafter(_MIN, _INF),
+    1.0, math.nextafter(_MAX, 0.0), _MAX, math.nextafter(_MAX, _INF),
+    1e300, _INF,
+]
+
+
+class TestObserveMatchesReference:
+    @given(st.lists(st.one_of(
+        st.floats(),  # NaN, infinities, negatives, subnormals
+        st.floats(min_value=_MIN, max_value=_MAX),
+        st.sampled_from(_EDGE_VALUES),
+        st.integers(-10**18, 10**18),
+    ), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_same_buckets_and_summary_as_reference(self, values):
+        _assert_matches_reference(values)
+
+    def test_edge_values_one_at_a_time(self):
+        for value in _EDGE_VALUES:
+            _assert_matches_reference([value])
+        _assert_matches_reference(_EDGE_VALUES)
+
+    def test_every_bucket_edge(self):
+        """Both sides of every bucket's lower edge land where the
+        reference puts them."""
+        values = []
+        for idx in range(LogHistogram._MIN_INDEX, LogHistogram._MAX_INDEX + 1):
+            edge = LogHistogram.GROWTH ** idx
+            below = math.nextafter(edge, 0.0)
+            values += [math.nextafter(below, 0.0), below, edge,
+                       math.nextafter(edge, _INF)]
+        _assert_matches_reference(values)
+
+
 class TestPercentileAccuracy:
     @given(
         st.lists(st.floats(min_value=1e-6, max_value=1e12,

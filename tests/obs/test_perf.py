@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -116,6 +118,39 @@ class TestBenchRecords:
         assert read_bench_record(path)["metrics"] == {"gbps": 5.0}
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["BENCH_soak.json"]
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_uncommitted_changes_flagged_dirty(self, tmp_path):
+        """``git_sha`` is HEAD at write time; a record written before its
+        commit measures HEAD plus the work tree, and says so."""
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=bench", "-c",
+                 "user.email=bench@example.invalid", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+                text=True).stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / ".gitignore").write_text("BENCH_*.json\n")
+        (tmp_path / "code.py").write_text("x = 1\n")
+        git("add", "-A")
+        git("commit", "-q", "-m", "one")
+        head = git("rev-parse", "HEAD")
+        clean = read_bench_record(
+            write_bench_record("clean", {"gbps": 1.0}, 0.1, root=tmp_path))
+        assert clean["git_sha"] == head
+        assert "git_dirty" not in clean
+        (tmp_path / "code.py").write_text("x = 2\n")
+        dirty = read_bench_record(
+            write_bench_record("dirty", {"gbps": 1.0}, 0.1, root=tmp_path))
+        assert dirty["git_sha"] == head
+        assert dirty["git_dirty"] is True
+
+    def test_outside_a_work_tree_no_dirty_flag(self, tmp_path):
+        record = read_bench_record(
+            write_bench_record("x", {"gbps": 1.0}, 0.1, root=tmp_path))
+        assert record["git_sha"] is None
+        assert "git_dirty" not in record
 
 
 class TestSchemaVersion:

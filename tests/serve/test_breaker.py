@@ -45,6 +45,15 @@ class TestTripping:
             breaker.record_failure()
         assert breaker.state == CLOSED  # 3 < breaker_min_calls
 
+    def test_fast_success_reaching_min_calls_trips(self, breaker):
+        # The fourth call makes the window trustworthy; it succeeded
+        # fast, but 3/4 of the window failed.
+        for _ in range(3):
+            breaker.record_failure()
+        breaker.record_success(elapsed_s=1e-5)
+        assert breaker.state == OPEN
+        assert breaker.transitions[-1].reason == "failure rate 3/4"
+
     def test_failure_rate_trips(self, breaker):
         breaker.record_success(elapsed_s=1e-5)
         breaker.record_success(elapsed_s=1e-5)

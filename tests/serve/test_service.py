@@ -1,6 +1,8 @@
 """ClassificationService: admission, deadlines, retry, failover, audit,
 drain/stop and snapshot persistence."""
 
+import hashlib
+import json
 import threading
 import time
 
@@ -254,6 +256,56 @@ class TestRetryAndFailover:
             svc.classify(HEADER)
         assert err.value.code == "serve.breaker_open"
         assert svc.counter("breaker_open_rejections") > 0
+
+    #: SHA-256 of the retry counters, both breakers' ``report()`` and
+    #: the latency buckets of the scenario below.  Computed by running
+    #: the scenario on the request path from before admission, the
+    #: first attempt and release shared one lock hold, so the retry path
+    #: that continues that attempt must count exactly as the old loop.
+    RETRY_DIGEST = (
+        "db845b3fc92303419757c671a9f79ba9389f54674a5f7786c2d91c6942fb2912")
+
+    def test_retry_after_first_attempt_pinned(self, tiny_ruleset):
+        """No deadline and no audits: the first attempt takes the
+        cheapest path, and the primary fails transiently on a stretch
+        of requests, long enough to trip its breaker and let it close
+        again.  Every request is still answered, by the standby where
+        the primary failed."""
+        clock = ManualClock()
+        down = range(10, 30)
+        state = {"request": 0, "answered_by": []}
+
+        def hook(name, service_s):
+            def lookup(now):
+                clock.advance(service_s)
+                if name == "sram0" and state["request"] in down:
+                    raise TransientServiceError("synthetic channel fault")
+                state["answered_by"].append(name)
+            return lookup
+
+        svc, _ = service_for(tiny_ruleset, clock=clock,
+                             hooks={0: hook("sram0", 40e-6),
+                                    1: hook("sram1", 90e-6)})
+        for request in range(120):
+            state["request"] = request
+            state["answered_by"].clear()
+            assert svc.classify(HEADER) == tiny_ruleset.first_match(HEADER)
+            if request in down or request < down.start:
+                want = "sram1" if request in down else "sram0"
+                assert state["answered_by"] == [want]
+            clock.advance(1e-3)
+        assert state["answered_by"] == ["sram0"]
+        assert svc.replicas[0].breaker.open_count() == 1
+        assert svc.replicas[0].breaker.state == CLOSED
+        payload = {name: svc.counter(name) for name in (
+            "retries", "transient_failures", "failovers", "served")}
+        payload["breakers"] = {r.name: r.breaker.report()
+                               for r in svc.replicas}
+        payload["latency_buckets"] = svc.metrics.snapshot()[
+            "histograms"]["serve.latency_us"]["buckets"]
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        assert digest == self.RETRY_DIGEST
 
 
 class TestDifferentialChecks:
