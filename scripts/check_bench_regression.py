@@ -44,6 +44,7 @@ REQUIRED_METRICS: dict[str, tuple[str, ...]] = {
                      "staleness_headroom_epochs"),
     "adversarial_soak": ("attack_shed_fraction", "legit_goodput_ratio",
                          "legit_goodput_kpps"),
+    "fabric_audit_path": ("uint32_b1_kpps", "uint32_b64_kpps"),
 }
 
 

@@ -110,10 +110,12 @@ def compress(pointers: Sequence[int], v: int) -> HabsArray:
     cpa: list[int] = []
     prev: Sequence[int] | None = None
     for m in range(1 << v):
-        sub = tuple(pointers[m * sub_len:(m + 1) * sub_len])
-        if prev is None or sub != prev:
+        # Slices of the caller's sequence compare as they are; the CPA
+        # becomes a tuple once, at the end.
+        sub = pointers[m * sub_len:(m + 1) * sub_len]
+        if sub != prev:
             habs |= 1 << m
-            cpa.extend(sub)
+            cpa += sub
             prev = sub
     return HabsArray(habs=habs, cpa=tuple(cpa), u=u, v=v)
 

@@ -39,6 +39,7 @@ import numpy as np
 
 from .budget import BudgetMeter
 from .expcuts import ExpCutsTree, REF_NO_MATCH
+from .habs import HabsArray
 
 #: Pointer-word leaf flag.
 LEAF_FLAG = np.uint32(0x8000_0000)
@@ -107,8 +108,9 @@ def pack_tree(tree: ExpCutsTree, aggregated: bool = True,
     image is only sized here.
     """
     nodes = tree.nodes
+    cpas = [node.children.cpa for node in nodes]
+    cpa_sizes = np.fromiter(map(len, cpas), dtype=np.int64, count=len(nodes))
     if aggregated:
-        pointers = [node.children.cpa for node in nodes]
         headers = [
             ((node.level & 0xFF) << 24)
             | ((node.children.u & 0xF) << 20)
@@ -116,18 +118,18 @@ def pack_tree(tree: ExpCutsTree, aggregated: bool = True,
             | (node.children.habs & 0xFFFF)
             for node in nodes
         ]
+        sizes = 1 + cpa_sizes
     else:
-        pointers = [node.children.decompress() for node in nodes]
         headers = [
             ((node.level & 0xFF) << 24)
             | (((node.children.u + node.children.v) & 0xF) << 20)
             for node in nodes
         ]
+        sizes = 1 + np.fromiter((node.children.total_slots for node in nodes),
+                                dtype=np.int64, count=len(nodes))
     by_level: list[list[int]] = [[] for _ in tree.schedule]
     for node_id, node in enumerate(nodes):
         by_level[node.level].append(node_id)
-    sizes = 1 + np.fromiter(map(len, pointers), dtype=np.int64,
-                            count=len(nodes))
 
     # First pass: each node's word offset inside its level.
     offsets = np.zeros(len(nodes), dtype=np.int64)
@@ -144,8 +146,12 @@ def pack_tree(tree: ExpCutsTree, aggregated: bool = True,
     for level_nodes in by_level:
         total = int(sizes[level_nodes].sum())
         refs = np.fromiter(
-            chain.from_iterable(pointers[i] for i in level_nodes),
-            dtype=np.int64, count=total - len(level_nodes))
+            chain.from_iterable(cpas[i] for i in level_nodes),
+            dtype=np.int64, count=int(cpa_sizes[level_nodes].sum()))
+        if not aggregated and level_nodes:
+            refs = _decompress_level(
+                refs, [nodes[i].children for i in level_nodes],
+                cpa_sizes[level_nodes])
         starts = offsets[level_nodes]
         is_pointer = np.ones(total, dtype=bool)
         is_pointer[starts] = False
@@ -163,6 +169,25 @@ def pack_tree(tree: ExpCutsTree, aggregated: bool = True,
         levels=levels, root_ptr=root_ptr, stride=tree.stride,
         aggregated=aggregated, tree=tree,
     )
+
+
+def _decompress_level(cpa: np.ndarray, arrays: list[HabsArray],
+                      cpa_sizes: np.ndarray) -> np.ndarray:
+    """Every full pointer array of one level, concatenated, from the
+    level's concatenated CPAs (:meth:`HabsArray.decompress` for all of
+    its nodes at once).
+
+    Sub-array ``m`` of a node is its CPA sub-array number ``popcount(
+    habs & (2 << m) - 1) - 1``.  A level fixes the cut width and the
+    HABS size, so all of its nodes share ``u`` and ``v``.
+    """
+    (u, v), = {(arr.u, arr.v) for arr in arrays}
+    habs = np.array([arr.habs for arr in arrays], dtype=np.int64)
+    sub = np.cumsum(habs[:, None] >> np.arange(1 << v) & 1, axis=1) - 1
+    base = np.cumsum(cpa_sizes) - cpa_sizes
+    index = (base[:, None, None] + (sub << u)[:, :, None]
+             + np.arange(1 << u))
+    return cpa[index.ravel()]
 
 
 def compression_summary(tree: ExpCutsTree) -> dict[str, float]:

@@ -216,8 +216,14 @@ class Fabric(ServingFrame):
         self._epoch_history_limit = epoch_history
         #: Linear oracle per retained epoch (the current one included),
         #: for settled-epoch audits of answers served by lagging workers.
+        #: Each epoch's is derived from the one before (see
+        #: :meth:`_apply_updates_locked`).
         self._oracles: dict[int, LinearSearchClassifier] = {
-            0: self._oracle_at(0)}
+            0: LinearSearchClassifier(RuleSet(list(self.rules),
+                                              name="oracle@0"))}
+        #: Epochs whose oracle may hold a candidate index (see
+        #: :meth:`_evaluate`).
+        self._indexed: set[int] = set()
         #: Per-shard retained op batches, for anti-entropy re-sends.
         self._shard_ops_history: dict[str, dict[int, tuple]] = {}
         #: Per-shard delta-chain cursor: base/prev payload hashes and
@@ -326,10 +332,11 @@ class Fabric(ServingFrame):
 
         ``ops`` is an ordered sequence of ``("insert", position, rule)``
         / ``("remove", position)`` against the evolving global rule
-        list.  The batch is atomic from the fabric's point of view: the
-        global list, the oracle history, every shard's global map, the
-        persisted delta chain and the fan-out all advance to the same
-        new epoch under the request lock.  Returns that epoch.
+        list.  The batch is atomic from the fabric's point of view: it is
+        validated whole first (a rejected batch changes nothing), then
+        the global list, the oracle history, every shard's global map,
+        the persisted delta chain and the fan-out all advance to the
+        same new epoch under the request lock.  Returns that epoch.
 
         Workers converge asynchronously — a request served meanwhile is
         audited against the epoch its worker had applied, and
@@ -340,16 +347,24 @@ class Fabric(ServingFrame):
             return self._apply_updates_locked(ops)
 
     def _apply_updates_locked(self, ops: Sequence[tuple]) -> int:
-        epoch = self.epoch + 1
-        shard_ops: dict[str, list[tuple]] = {s.name: [] for s in self.specs}
+        size = len(self.rules)
         for op in ops:
             if not op or op[0] not in ("insert", "remove"):
                 raise UpdateError(f"unknown update op {op!r}")
+            last = size if op[0] == "insert" else size - 1
+            if not 0 <= op[1] <= last:
+                raise UpdateError(f"position {op[1]} out of range")
+            size += 1 if op[0] == "insert" else -1
+        epoch = self.epoch + 1
+        # The new epoch's oracle is the previous one plus this batch's
+        # edits: no rule is re-read.
+        oracle = self._oracles[self.epoch].copy(name=f"oracle@{epoch}")
+        shard_ops: dict[str, list[tuple]] = {s.name: [] for s in self.specs}
+        for op in ops:
             if op[0] == "insert":
                 _, position, rule = op
-                if not 0 <= position <= len(self.rules):
-                    raise UpdateError(f"position {position} out of range")
                 self.rules.insert(position, rule)
+                oracle.insert(rule, position)
                 interval = rule.intervals[self.plan.dim]
                 for i, spec in enumerate(self.specs):
                     lo, hi = self.plan.bounds[i]
@@ -363,9 +378,8 @@ class Fabric(ServingFrame):
                     apply_map_op(gmap, shard_op)
             else:
                 _, position = op
-                if not 0 <= position < len(self.rules):
-                    raise UpdateError(f"position {position} out of range")
                 self.rules.pop(position)
+                oracle.remove(position)
                 for spec in self.specs:
                     gmap = self._shard_map[spec.name]
                     local = bisect_left(gmap, position)
@@ -376,11 +390,9 @@ class Fabric(ServingFrame):
                     shard_ops[spec.name].append(shard_op)
                     apply_map_op(gmap, shard_op)
         # Every view advanced together: commit the epoch, persist and fan
-        # out.  (Validation errors above leave a partial batch unapplied
-        # by design only for the *failing* op onward — callers treat an
-        # UpdateError as fatal for the batch source, not retryable.)
+        # out.
         self.epoch = epoch
-        self._oracles[epoch] = self._oracle_at(epoch)
+        self._oracles[epoch] = oracle
         while len(self._oracles) > self._epoch_history_limit:
             self._oracles.pop(next(iter(self._oracles)))
         for spec in self.specs:
@@ -402,12 +414,6 @@ class Fabric(ServingFrame):
         self._scope.counter("epochs").inc()
         self._scope.gauge("epoch").set(epoch)
         return epoch
-
-    def _oracle_at(self, epoch: int) -> LinearSearchClassifier:
-        """The linear oracle over the current global rules, frozen as
-        ``epoch``'s."""
-        return LinearSearchClassifier(RuleSet(list(self.rules),
-                                              name=f"oracle@{epoch}"))
 
     def _write_delta(self, spec: ShardSpec, epoch: int, batch: tuple) -> None:
         """Persist one epoch's shard-local batch as a chained delta."""
@@ -539,8 +545,8 @@ class Fabric(ServingFrame):
                 self._gate.admit()
             try:
                 shard = self.specs[self.plan.route(header)].name
-                answers, elapsed = self._serve_shard(shard,
-                                                     pack_rows((header,)))
+                answers, elapsed = self._serve_shard(
+                    shard, pack_rows((header,)), slice(None), {})
                 self._latency_us.observe(elapsed * 1e6)
             finally:
                 self._gate.release()
@@ -584,17 +590,20 @@ class Fabric(ServingFrame):
         """Serve the admitted rows of one burst (``index`` maps them to
         burst positions; ``None`` when all were admitted), shard by
         shard in the order each shard first appears, filling
-        ``outcomes`` in place."""
+        ``outcomes`` in place.  The shard groups share one audit memo,
+        so the oracle reads the burst once per epoch (see
+        :meth:`_audit`)."""
         owner = self.plan.route_rows(rows)
         groups = [(np.flatnonzero(owner == i), i)
                   for i in range(self.plan.num_shards)]
         groups = sorted((g for g in groups if len(g[0])),
                         key=lambda g: g[0][0])
+        expected: dict[int, np.ndarray] = {}
         for picked, i in groups:
             shard = self.specs[i].name
             positions = (picked if index is None else index[picked]).tolist()
             try:
-                answers, _ = self._serve_shard(shard, rows[picked])
+                answers, _ = self._serve_shard(shard, rows, picked, expected)
             except ShardUnavailable as exc:
                 for pos in positions:
                     outcomes[pos] = {"status": "shed",
@@ -605,16 +614,20 @@ class Fabric(ServingFrame):
                 outcomes[pos] = {"status": "served",
                                  "rule": None if answer < 0 else answer}
 
-    def _serve_shard(self, shard: str,
-                     rows: np.ndarray) -> tuple[np.ndarray, float]:
-        """One shard's rows, under the request lock: breaker and
-        supervisor checks, one pipe round trip, the modelled lookup
-        charge, the breaker record and the audit.
+    def _serve_shard(self, shard: str, block: np.ndarray,
+                     picked: np.ndarray | slice,
+                     expected: dict[int, np.ndarray]
+                     ) -> tuple[np.ndarray, float]:
+        """One shard's rows ``block[picked]``, under the request lock:
+        breaker and supervisor checks, one pipe round trip, the modelled
+        lookup charge, the breaker record and the audit (``block`` and
+        ``expected`` are the burst's, see :meth:`_audit`).
 
         Returns the answers (``-1`` = no match) and the elapsed time the
         breaker saw; raises :class:`ShardUnavailable`, already counted,
         when the shard cannot serve.
         """
+        rows = block[picked]
         n = len(rows)
         breaker = self.breakers[shard]
         now = self._clock()
@@ -648,7 +661,7 @@ class Fabric(ServingFrame):
         applied = self.supervisor.handles[shard].applied_epoch
         self._epoch_lag.observe(max(0, self.epoch - applied))
         with self.stages.span("audit"):
-            self._audit(rows, answers, applied)
+            self._audit(block, picked, answers, applied, expected)
         self._served.inc(n)
         return answers, elapsed
 
@@ -657,16 +670,21 @@ class Fabric(ServingFrame):
         self._shed_phases[phase].inc(n)
         raise ShardUnavailable(shard, phase)
 
-    def _audit(self, rows: np.ndarray, answers: np.ndarray,
-               applied_epoch: int) -> None:
-        """In-lock differential check of one shard's answers against the
-        oracle *at the epoch the answering worker had applied* — a
-        lagging worker's answer is correct for the rule version it
-        served, so auditing it against a newer ruleset would flag
-        staleness as wrongness.  One vectorized oracle call over the
-        shard's own uint32 rows checks every answer; an epoch evicted
-        from history cannot be audited and each of its answers is
-        counted instead.
+    def _audit(self, block: np.ndarray, picked: np.ndarray | slice,
+               answers: np.ndarray, applied_epoch: int,
+               expected: dict[int, np.ndarray]) -> None:
+        """In-lock differential check of one shard's answers (for rows
+        ``block[picked]``) against the oracle *at the epoch the answering
+        worker had applied* — a lagging worker's answer is correct for
+        the rule version it served, so auditing it against a newer
+        ruleset would flag staleness as wrongness.  An epoch evicted from
+        history cannot be audited and each of its answers is counted
+        instead.
+
+        ``expected`` holds the oracle's answers for the whole burst
+        ``block``: the first audited group of a burst evaluates every row
+        at its epoch, and a later group at that epoch reads its rows from
+        it.  A group at another epoch evaluates only its own rows.
         """
         if not self.policy.oracle_check:
             return
@@ -675,10 +693,34 @@ class Fabric(ServingFrame):
             self._oracle_unauditable.inc(len(answers))
             return
         self._oracle_checks.inc(len(answers))
-        wrong = int(np.count_nonzero(oracle.classify_batch(rows.T)
-                                     != answers))
+        if not expected:
+            expected[applied_epoch] = self._evaluate(oracle, applied_epoch,
+                                                     block)
+        if applied_epoch in expected:
+            want = expected[applied_epoch][picked]
+        else:
+            want = self._evaluate(oracle, applied_epoch, block[picked])
+        wrong = int(np.count_nonzero(want != answers))
         if wrong:
             self._oracle_divergences.inc(wrong)
+
+    def _evaluate(self, oracle: LinearSearchClassifier, epoch: int,
+                  rows: np.ndarray) -> np.ndarray:
+        """The epoch's oracle answers for ``rows``.
+
+        The oracle builds its candidate index on first use.  Only epochs
+        that a running worker serves (as its last reply or pong told)
+        may keep one: every evaluation first drops the index of every
+        other epoch, so at most one index per running worker is alive.
+        """
+        serving = {handle.applied_epoch
+                   for handle in self.supervisor.handles.values()
+                   if handle.state == RUNNING}
+        for stale in self._indexed - serving:
+            if stale in self._oracles:
+                self._oracles[stale].drop_index()
+        self._indexed = (self._indexed & serving) | {epoch}
+        return oracle.classify_batch(rows.T)
 
     # -- supervision passthrough -------------------------------------------
 

@@ -10,7 +10,7 @@ from repro.core.errors import UpdateError
 from repro.core.rule import Rule, RuleSet
 from repro.serve.transport import apply_shard_ops
 
-from ..conftest import boundary_headers, ruleset_strategy
+from ..conftest import boundary_headers, rule_strategy, ruleset_strategy
 
 U32_MAX = (1 << 32) - 1
 
@@ -112,6 +112,115 @@ class TestUint32Oracle:
                          [0, 1 << 32, 0, 0, 0], [U32_MAX] * 5],
                         dtype=np.int64)
         assert clf.classify_batch(rows.T).tolist() == [0, -1, -1, -1]
+
+
+def _first_matches(ruleset: RuleSet, rows) -> list[int]:
+    return [-1 if r is None else r for r in map(ruleset.first_match, rows)]
+
+
+@st.composite
+def edit_script(draw, size: int):
+    """Edits that stay valid against a rule list of ``size`` rules:
+    ``("insert", position, rule)`` / ``("remove", position)``."""
+    ops = []
+    for _ in range(draw(st.integers(1, 6))):
+        if size and draw(st.booleans()):
+            ops.append(("remove", draw(st.integers(0, size - 1))))
+            size -= 1
+        else:
+            ops.append(("insert", draw(st.integers(0, size)),
+                        draw(rule_strategy(prefix_ips=False))))
+            size += 1
+    return ops
+
+
+class TestCandidateIndex:
+    """The indexed batch path against ``RuleSet.first_match``."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_edits_after_the_index_exists(self, data):
+        ruleset, rows = data.draw(edge_batch())
+        clf = LinearSearchClassifier(RuleSet(list(ruleset)))
+        block = np.array(rows, dtype=np.int64).T
+        assert clf.classify_batch(block).tolist() == _first_matches(
+            clf.ruleset, rows)
+        assert clf._index is not None
+        for op in data.draw(edit_script(len(ruleset))):
+            if op[0] == "insert":
+                clf.insert(op[2], op[1])
+            else:
+                clf.remove(op[1])
+            assert clf.classify_batch(block).tolist() == _first_matches(
+                clf.ruleset, rows)
+
+    @given(st.lists(st.sampled_from(["permit", "deny"]), min_size=1,
+                    max_size=40),
+           edge_batch())
+    @settings(max_examples=50, deadline=None)
+    def test_every_rule_wildcard(self, actions, case):
+        ruleset = RuleSet([Rule.any(action) for action in actions])
+        rows = case[1]
+        clf = LinearSearchClassifier(ruleset)
+        assert clf.classify_batch(
+            np.array(rows, dtype=np.int64).T).tolist() == _first_matches(
+                ruleset, rows)
+        index = clf._index
+        assert (index.counts == len(ruleset)).all()
+
+    @given(edge_batch())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_outside_the_field_range(self, case):
+        ruleset, rows = case
+        clf = LinearSearchClassifier(ruleset)
+        outside = [row for row in rows
+                   if not all(0 <= v <= U32_MAX for v in row)]
+        block = np.array(rows + outside, dtype=np.int64).T
+        want = _first_matches(ruleset, rows) + [-1] * len(outside)
+        assert clf.classify_batch(block).tolist() == want
+
+    @given(edge_batch())
+    @settings(max_examples=30, deadline=None)
+    def test_empty_ruleset(self, case):
+        ruleset, rows = case
+        block = np.array(rows, dtype=np.int64).T
+        empty = LinearSearchClassifier(RuleSet([]))
+        assert empty.classify_batch(block).tolist() == [-1] * len(rows)
+        # Emptied by edits after its index was built.
+        clf = LinearSearchClassifier(RuleSet(list(ruleset)))
+        clf.classify_batch(block)
+        while len(clf.ruleset):
+            clf.remove(0)
+        assert clf.classify_batch(block).tolist() == [-1] * len(rows)
+        assert clf.classify_batch(
+            block[:, :0].astype(np.uint32)).tolist() == []
+
+    @pytest.mark.parametrize("name, field, busiest", [
+        ("CR01", 0, 35), ("FW03", 3, 78)])
+    def test_indexed_field(self, name, field, busiest):
+        """The index takes the field whose busiest interval meets the
+        fewest rules."""
+        from repro.harness import get_ruleset
+
+        clf = LinearSearchClassifier(get_ruleset(name))
+        clf.classify_batch(np.zeros((5, 1), dtype=np.uint32))
+        assert clf._index.field == field
+        assert int(clf._index.counts.max()) == busiest
+
+    def test_copy_shares_nothing_mutable(self, tiny_ruleset):
+        clf = LinearSearchClassifier(RuleSet(list(tiny_ruleset)))
+        clf.classify_batch(np.zeros((5, 1), dtype=np.uint32))
+        clone = clf.copy(name="clone")
+        assert clone._index is None and clone.ruleset.name == "clone"
+        clone.insert(Rule.any(), 0)
+        clone.remove(len(clone.ruleset) - 1)
+        assert clf.ruleset.rules == tiny_ruleset.rules
+        assert clf._lo.shape == (5, len(tiny_ruleset))
+        headers = boundary_headers(tiny_ruleset)
+        fields = np.array(headers, dtype=np.uint32).T
+        assert clf.classify_batch(fields).tolist() == _first_matches(
+            tiny_ruleset, headers)
+        assert clone.classify_batch(fields).tolist() == [0] * len(headers)
 
 
 class TestLiveEdits:

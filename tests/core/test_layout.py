@@ -24,6 +24,8 @@ from repro.core.layout import (
     encode_ref,
     pack_tree,
 )
+from repro.rulesets import generate
+from repro.rulesets.profiles import PROFILES
 
 from ..conftest import ruleset_strategy
 
@@ -192,3 +194,26 @@ def test_pack_matches_the_node_loop(ruleset, stride):
             assert [seg.tolist() for seg in image.levels] == levels
             assert image.root_ptr == root_ptr
             assert type(image.root_ptr) is int
+
+
+@pytest.mark.parametrize("config", [
+    ExpCutsConfig(),
+    ExpCutsConfig(habs_bits_log2=2),
+    ExpCutsConfig(stride=4, habs_bits_log2=0),
+])
+def test_unaggregated_image_matches_the_decompress_loop(config):
+    """The uncompressed image expands each level's CPAs from the HABS
+    bits in NumPy; it must equal, word for word, the per-node
+    ``HabsArray.decompress`` encoder of :func:`_loop_pack` on a
+    profile-sized tree, before and after a copy-on-write edit."""
+    ruleset = generate(PROFILES["FW01"], size=120, seed=5).with_default()
+    tree = build_expcuts(ruleset, config)
+    edited = copy.deepcopy(tree)
+    rule = (len(ruleset),) + flat_projection(ruleset)[3][1:]
+    insert_into_tree(edited, rule, lambda existing: True)
+    assert len(edited.nodes) > len(tree.nodes)
+    for candidate in (tree, edited):
+        image = pack_tree(candidate, aggregated=False)
+        levels, root_ptr = _loop_pack(candidate, aggregated=False)
+        assert [seg.tolist() for seg in image.levels] == levels
+        assert image.root_ptr == root_ptr

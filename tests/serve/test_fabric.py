@@ -12,9 +12,11 @@ from repro.core.errors import (
     AdmissionRejected,
     ConfigurationError,
     ShardUnavailable,
+    UpdateError,
 )
 from repro.core.fields import FIELD_WIDTHS
 from repro.core.rule import Rule, RuleSet
+from repro.obs.span import StageTimer
 from repro.rulesets import generate
 from repro.rulesets.profiles import PROFILES
 from repro.serve import (
@@ -382,3 +384,185 @@ class TestAuditCatchesWrongAnswers:
         assert audited.counter("oracle.checks") == 0
         assert audited.counter("oracle.divergences") == 0
         self.assert_all_audited(audited)
+
+
+# -- one oracle evaluation per burst and epoch ---------------------------------
+
+class TestBurstAudit:
+    """A burst's shard groups share one oracle evaluation per epoch, and
+    every answer is still audited at the epoch its worker had applied."""
+
+    @pytest.fixture
+    def split(self, fw_ruleset, tmp_path):
+        clock = ManualClock()
+        fab = Fabric(list(fw_ruleset), tmp_path / "shards", num_shards=2,
+                     policy=POLICY, supervision=SUPERVISION, clock=clock,
+                     charge=clock.advance, stage_timer=StageTimer(clock))
+        fab.manual_clock = clock
+        yield fab
+        fab.supervisor.stop()
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """Every oracle evaluation, as ``(oracle name, rows)``."""
+        from repro.classifiers import LinearSearchClassifier
+
+        seen = []
+        real = LinearSearchClassifier.classify_batch
+
+        def classify_batch(self, fields):
+            seen.append((self.ruleset.name, len(fields[0])))
+            return real(self, fields)
+
+        monkeypatch.setattr(LinearSearchClassifier, "classify_batch",
+                            classify_batch)
+        return seen
+
+    @staticmethod
+    def groups(fabric, headers):
+        """The shard of each group, in serving order, and its positions."""
+        owners = [fabric.plan.route(h) for h in headers]
+        order = list(dict.fromkeys(owners))
+        assert len(order) == 2
+        return [(fabric.specs[i].name,
+                 [p for p, o in enumerate(owners) if o == i]) for i in order]
+
+    def test_one_evaluation_at_one_epoch(self, split, fw_headers,
+                                         evaluations):
+        headers = fw_headers[:40]
+        self.groups(split, headers)
+        outcomes = split.classify_batch(headers)
+        assert all(o["status"] == "served" for o in outcomes)
+        assert evaluations == [("oracle@0", len(headers))]
+        assert split.counter("oracle.checks") == len(headers)
+        assert split.counter("oracle.divergences") == 0
+        assert split.stages.breakdown()["audit"]["calls"] == 2
+
+    def test_groups_at_different_epochs(self, split, fw_ruleset, fw_headers,
+                                        evaluations, monkeypatch):
+        headers = fw_headers[:40]
+        (first, _), (second, lagging) = self.groups(split, headers)
+        # The second group's worker never hears of epoch 1, at which a
+        # new top rule answers every header with 0.
+        split.inject_update_fault(second, "lose_update")
+        assert split.apply_updates([("insert", 0, Rule.any())]) == 1
+        real = split.supervisor.request
+
+        def request(shard, rows, now=None):
+            answers = np.array(real(shard, rows, now))
+            if shard == second:
+                answers[0] += 1
+            return answers
+
+        monkeypatch.setattr(split.supervisor, "request", request)
+        outcomes = split.classify_batch(headers)
+        assert split.supervisor.handles[first].applied_epoch == 1
+        assert split.supervisor.handles[second].applied_epoch == 0
+        old = [fw_ruleset.first_match(h) for h in headers]
+        want = [old[p] if p in lagging else 0 for p in range(len(headers))]
+        got = [o["rule"] for o in outcomes]
+        assert got != want and got[lagging[0]] != want[lagging[0]]
+        got[lagging[0]] = want[lagging[0]]
+        assert got == want
+        # Each group is audited at its own worker's epoch: the whole
+        # burst at epoch 1 for the first, the lagging rows at epoch 0.
+        assert evaluations == [("oracle@1", len(headers)),
+                               ("oracle@0", len(lagging))]
+        assert split.counter("oracle.divergences") == 1
+        assert split.counter("oracle.checks") == len(headers)
+        assert split.counter("served") == len(headers)
+        assert split.stages.breakdown()["audit"]["calls"] == 2
+
+    def test_only_served_epochs_keep_an_index(self, split, fw_headers):
+        headers = fw_headers[:40]
+        (_, _), (second, _) = self.groups(split, headers)
+        split.inject_update_fault(second, "lose_update")
+        split.apply_updates([("insert", 0, Rule.any())])
+        split.classify_batch(headers)
+
+        def indexed():
+            return {e for e, o in split._oracles.items()
+                    if o._index is not None}
+
+        assert indexed() == {0, 1}
+        clock = split.manual_clock
+        for _ in range(400):
+            clock.advance(SUPERVISION.heartbeat_interval_s)
+            split.tick(clock.now)
+            if split.max_epoch_lag() == 0:
+                break
+        assert split.max_epoch_lag() == 0
+        split.apply_updates([("remove", 0)])
+        split.classify_batch(headers)
+        # The second group's worker reported epoch 2 only with its answer,
+        # so epoch 1 kept its index through that burst.
+        assert indexed() == {1, 2}
+        assert {h.applied_epoch
+                for h in split.supervisor.handles.values()} == {2}
+        outcomes = split.classify_batch(headers)
+        assert all(o["status"] == "served" for o in outcomes)
+        assert indexed() == {2}
+        assert split.counter("oracle.divergences") == 0
+
+
+class TestOracleHistory:
+    def test_derived_oracles_equal_fresh_builds(self, tmp_path):
+        """Each epoch's oracle is the previous one plus the epoch's
+        edits; over 60+ churned epochs on CR01 every retained oracle
+        equals a fresh build of its epoch's rules."""
+        from repro.classifiers import LinearSearchClassifier
+        from repro.harness import get_ruleset
+        from repro.rulesets import churn_sequence
+
+        base = get_ruleset("CR01")
+        ops = churn_sequence(RuleSet(list(base), name="CR01"), 150, seed=7)
+        sizes = [1, 3, 0, 2, 4]
+        batches, at = [], 0
+        while at < len(ops):
+            size = sizes[len(batches) % len(sizes)]
+            batches.append(ops[at:at + size])
+            at += size
+        assert len(batches) >= 60
+        clock = ManualClock()
+        fab = Fabric(list(base), tmp_path / "shards", num_shards=2,
+                     policy=POLICY, supervision=SUPERVISION, clock=clock,
+                     charge=clock.advance, epoch_history=len(batches) + 1)
+        try:
+            rules = list(base)
+            expected = {0: list(rules)}
+            for batch in batches:
+                for op in batch:
+                    if op[0] == "insert":
+                        rules.insert(op[1], op[2])
+                    else:
+                        rules.pop(op[1])
+                expected[fab.apply_updates(batch)] = list(rules)
+            assert sorted(fab._oracles) == sorted(expected)
+            for epoch, epoch_rules in expected.items():
+                oracle = fab._oracles[epoch]
+                fresh = LinearSearchClassifier(RuleSet(list(epoch_rules)))
+                assert oracle.ruleset.rules == epoch_rules
+                assert oracle.ruleset.name == f"oracle@{epoch}"
+                assert np.array_equal(oracle._lo, fresh._lo)
+                assert np.array_equal(oracle._span, fresh._span)
+                assert oracle._lo.dtype == oracle._span.dtype == np.uint32
+        finally:
+            fab.supervisor.stop()
+
+    def test_rejected_batch_changes_nothing(self, fw_ruleset, tmp_path):
+        clock = ManualClock()
+        fab = Fabric(list(fw_ruleset), tmp_path / "shards", num_shards=2,
+                     policy=POLICY, supervision=SUPERVISION, clock=clock,
+                     charge=clock.advance)
+        try:
+            maps = {name: list(m) for name, m in fab._shard_map.items()}
+            with pytest.raises(UpdateError):
+                fab.apply_updates([("insert", 0, Rule.any()),
+                                   ("remove", len(fab.rules) + 1)])
+            assert fab.rules == list(fw_ruleset)
+            assert fab._shard_map == maps and fab.epoch == 0
+            fab.apply_updates([("insert", 0, Rule.any())])
+            assert fab._oracles[1].ruleset.rules == [Rule.any()] + list(
+                fw_ruleset)
+        finally:
+            fab.supervisor.stop()
