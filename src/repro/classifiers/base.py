@@ -83,10 +83,10 @@ class PacketClassifier(abc.ABC):
                          trace: DecisionTrace) -> int | None:
         """Fallback traced lookup, derived from :meth:`access_trace`.
 
-        Algorithms with a bespoke instrumented walk (ExpCuts, HiCuts,
-        HyperCuts, linear) override the traced path inside ``classify``
-        instead; everything else gets exact read-level steps from the
-        access trace for free.
+        ExpCuts, HiCuts, HyperCuts and linear search record the decision
+        path inside their own ``access_trace(header, trace)`` instead,
+        so the traced walk is the costed walk; everything else gets
+        exact read-level steps from the access trace for free.
         """
         result = trace.record_lookup(self.name, header, self.access_trace(header))
         self._emit_lookup_metrics(trace)

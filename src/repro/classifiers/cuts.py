@@ -513,56 +513,53 @@ class CutsClassifier(PacketClassifier):
 
     def classify(self, header: Sequence[int],
                  trace: DecisionTrace | None = None) -> int | None:
-        if trace is not None:
-            return self._classify_traced(header, trace)
-        return self._first_match_from(self.root_ref, header)
-
-    def _classify_traced(self, header: Sequence[int],
-                         trace: DecisionTrace) -> int | None:
-        """Instrumented walk: descent steps plus the leaf linear scan —
-        the scan length is exactly the cost Figure 8 sweeps ``binth``
-        to expose."""
-        trace.begin(self.name, header)
-        ref, path = self._walk(self.root_ref, header)
-        for node_ref, index in path:
-            node = self.nodes[node_ref]
-            trace.node("tree", self._node_offsets[node_ref], words=2,
-                       fields=list(node.dims), strides=list(node.lgs),
-                       slot=index)
-        result = None
-        if ref != REF_NO_MATCH:
-            leaf = self.nodes[ref]
-            leaf_addr = self._node_offsets[ref]
-            trace.leaf("tree", leaf_addr, words=1, rules=len(leaf.rule_ids))
-            for slot, rule_id in enumerate(leaf.rule_ids):
-                matched = self.ruleset[rule_id].matches(header)
-                trace.linear("tree", leaf_addr + 1 + slot * RULE_WORDS,
-                             RULE_WORDS, rule=rule_id, matched=matched)
-                if matched:
-                    result = rule_id
-                    break
-        trace.finish(result)
+        if trace is None:
+            return self._first_match_from(self.root_ref, header)
+        result = self.access_trace(header, trace).result
         self._emit_lookup_metrics(trace)
         return result
 
-    def access_trace(self, header: Sequence[int]) -> LookupTrace:
+    def access_trace(self, header: Sequence[int],
+                     trace: DecisionTrace | None = None) -> LookupTrace:
+        """The descent plus the leaf linear scan, read by read.
+
+        With ``trace`` the same walk also records its descent steps and
+        the leaf scan, whose length is exactly the cost Figure 8 sweeps
+        ``binth`` to expose.
+        """
+        if trace is not None:
+            trace.begin(self.name, header)
         ref, path = self._walk(self.root_ref, header)
         reads: list[MemRead] = []
         for node_ref, index in path:
             addr = self._node_offsets[node_ref]
+            node = self.nodes[node_ref]
             reads.append(MemRead("tree", addr, 1, 2))
             reads.append(MemRead("tree", addr + 1 + index, 1,
-                                 self._index_cycles(self.nodes[node_ref])))
+                                 self._index_cycles(node)))
+            if trace is not None:
+                trace.node("tree", addr, words=2, fields=list(node.dims),
+                           strides=list(node.lgs), slot=index)
         result = None
         if ref != REF_NO_MATCH:
+            leaf = self.nodes[ref]
             leaf_addr = self._node_offsets[ref]
             reads.append(MemRead("tree", leaf_addr, 1, 2))
-            for slot, rule_id in enumerate(self.nodes[ref].rule_ids):
-                reads.append(MemRead("tree", leaf_addr + 1 + slot * RULE_WORDS,
-                                     RULE_WORDS, RULE_COMPARE_CYCLES))
-                if self.ruleset[rule_id].matches(header):
+            if trace is not None:
+                trace.leaf("tree", leaf_addr, words=1, rules=len(leaf.rule_ids))
+            for slot, rule_id in enumerate(leaf.rule_ids):
+                rule_addr = leaf_addr + 1 + slot * RULE_WORDS
+                reads.append(MemRead("tree", rule_addr, RULE_WORDS,
+                                     RULE_COMPARE_CYCLES))
+                matched = self.ruleset[rule_id].matches(header)
+                if trace is not None:
+                    trace.linear("tree", rule_addr, RULE_WORDS, rule=rule_id,
+                                 matched=matched)
+                if matched:
                     result = rule_id
                     break
+        if trace is not None:
+            trace.finish(result)
         return LookupTrace(tuple(reads), compute_after=RULE_COMPARE_CYCLES,
                            result=result)
 

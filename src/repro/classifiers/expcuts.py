@@ -104,8 +104,7 @@ class ExpCutsClassifier(PacketClassifier):
     def classify(self, header: Sequence[int],
                  trace: DecisionTrace | None = None) -> int | None:
         if trace is not None:
-            self._ensure_image()
-            result = self.engine.classify_traced(header, trace)
+            result = self.access_trace(header, trace).result
             self._emit_lookup_metrics(trace)
             return result
         if self._image_dirty:
@@ -124,9 +123,10 @@ class ExpCutsClassifier(PacketClassifier):
         self._ensure_image()
         return self.engine.classify_batch(fields)
 
-    def access_trace(self, header: Sequence[int]) -> LookupTrace:
+    def access_trace(self, header: Sequence[int],
+                     trace: DecisionTrace | None = None) -> LookupTrace:
         self._ensure_image()
-        return self.engine.access_trace(header)
+        return self.engine.access_trace(header, trace)
 
     def memory_regions(self) -> list[MemoryRegion]:
         regions = []

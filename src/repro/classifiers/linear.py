@@ -189,16 +189,7 @@ class LinearSearchClassifier(PacketClassifier):
                  trace: DecisionTrace | None = None) -> int | None:
         if trace is None:
             return self.ruleset.first_match(header)
-        trace.begin(self.name, header)
-        result = None
-        for idx, rule in enumerate(self.ruleset.rules):
-            matched = rule.matches(header)
-            trace.linear("rules", idx * RULE_WORDS, RULE_WORDS,
-                         rule=idx, matched=matched)
-            if matched:
-                result = idx
-                break
-        trace.finish(result)
+        result = self.access_trace(header, trace).result
         self._emit_lookup_metrics(trace)
         return result
 
@@ -253,7 +244,12 @@ class LinearSearchClassifier(PacketClassifier):
             out[~valid] = -1
         return out
 
-    def access_trace(self, header: Sequence[int]) -> LookupTrace:
+    def access_trace(self, header: Sequence[int],
+                     trace: DecisionTrace | None = None) -> LookupTrace:
+        """The priority-ordered scan, one 6-word rule read per compare;
+        with ``trace`` the same scan records each compare."""
+        if trace is not None:
+            trace.begin(self.name, header)
         reads = []
         result = None
         for idx, rule in enumerate(self.ruleset.rules):
@@ -261,9 +257,15 @@ class LinearSearchClassifier(PacketClassifier):
                 MemRead("rules", idx * RULE_WORDS, RULE_WORDS,
                         RULE_COMPARE_CYCLES if idx else 2)
             )
-            if rule.matches(header):
+            matched = rule.matches(header)
+            if trace is not None:
+                trace.linear("rules", idx * RULE_WORDS, RULE_WORDS,
+                             rule=idx, matched=matched)
+            if matched:
                 result = idx
                 break
+        if trace is not None:
+            trace.finish(result)
         return LookupTrace(tuple(reads), compute_after=RULE_COMPARE_CYCLES,
                            result=result)
 

@@ -8,7 +8,7 @@ classifying.  This module packages that standard production scheme:
 * inserts land in a small linear **overlay** consulted alongside the
   compiled base structure (priority-correct merge);
 * deletes **tombstone** rules; if a lookup's base result is tombstoned the
-  slow path (priority scan of the live snapshot) answers exactly;
+  slow path (``RuleSet.first_match`` over the live rule list) answers exactly;
 * once the overlay or tombstone count crosses ``rebuild_threshold`` the
   base classifier is **rebuilt** from the live rule list (the hot-swap).
 
@@ -339,18 +339,6 @@ class UpdatableClassifier:
         fraction = getattr(self.base, "garbage_fraction", None)
         return fraction() if callable(fraction) else 0.0
 
-    @property
-    def rebuild_backlog(self) -> int:
-        """Work the next rebuild/compaction must absorb: overlay entries
-        plus tombstones, plus one when the structure-garbage watermark
-        has tripped but the compaction has not yet landed.  Zero means
-        the structure is settled (the update-storm soak's drain bar)."""
-        backlog = self.pending_updates
-        if (self.incremental
-                and self._garbage_fraction() >= self.compaction_watermark):
-            backlog += 1
-        return backlog
-
     def _maybe_compact(self) -> None:
         """Watermark check after an in-place edit or a remove: compact
         (full budget-guarded rebuild) once tombstones or replaced-node
@@ -501,7 +489,7 @@ class UpdatableClassifier:
             # its explicit bound.  Answer exactly from the live rule list.
             self.stats.watchdog_fallbacks += 1
             self.stats.slow_path_lookups += 1
-            result = self._scan(header)
+            result = RuleSet(self.rules).first_match(header)
             if trace is not None:
                 trace.note(fallback="watchdog_linear_scan")
                 trace.finish(result)
@@ -510,13 +498,10 @@ class UpdatableClassifier:
             current = self._snapshot_to_current[base_hit]
             if current is None:
                 # Tombstoned winner: the base cannot reveal its runner-up,
-                # so answer from the live rule list (exact, amortised away
-                # by the rebuild threshold).
+                # so answer from the live rule list, overlay rules included
+                # (exact, amortised away by the rebuild threshold).
                 self.stats.slow_path_lookups += 1
-                scan = self._scan(header)
-                result = scan if best is None else (
-                    min(best, scan) if scan is not None else best
-                )
+                result = RuleSet(self.rules).first_match(header)
                 if trace is not None:
                     trace.note(fallback="tombstone_linear_scan")
                     trace.finish(result)
@@ -559,12 +544,6 @@ class UpdatableClassifier:
                     answers[i] = self.classify(headers[i])
         self.stats.base_hits += base_hits
         return answers
-
-    def _scan(self, header: Sequence[int]) -> int | None:
-        for idx, rule in enumerate(self.rules):
-            if rule.matches(header):
-                return idx
-        return None
 
     def current_ruleset(self) -> RuleSet:
         """The live rule list as a RuleSet (the oracle's view)."""

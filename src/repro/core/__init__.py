@@ -7,11 +7,9 @@ from .habs import HabsArray, compress
 from .interval import Interval, full_interval, prefix_to_interval
 from .layout import TreeImage, compression_summary, pack_tree
 from .rule import Rule, RuleSet
-from .space import Box
 from .stats import TreeStats, collect_stats
 
 __all__ = [
-    "Box",
     "ExpCutsConfig",
     "ExpCutsEngine",
     "ExpCutsTree",

@@ -15,7 +15,8 @@ the tree-IR walk against the linear-search oracle):
   Python), per the HPC guide idioms.
 * :meth:`ExpCutsEngine.access_trace` — the scalar walk instrumented to
   emit the exact memory-reference/compute sequence, which
-  :mod:`repro.npsim` replays on simulated hardware threads.
+  :mod:`repro.npsim` replays on simulated hardware threads; given a
+  decision trace, the same walk records the path the tests assert on.
 """
 
 from __future__ import annotations
@@ -435,14 +436,25 @@ class ExpCutsEngine:
 
     # -- instrumented ----------------------------------------------------
 
-    def access_trace(self, header: Sequence[int]) -> LookupTrace:
+    def access_trace(self, header: Sequence[int],
+                     trace=None) -> LookupTrace:
         """The scalar walk, recording every SRAM reference.
 
         Each level costs two single-word reads — the header word, then
         (after the POP_COUNT/address computation) the pointer word — which
         is how the word-oriented IXP SRAM controller consumes Figure 4's
         data structure.
+
+        With ``trace`` (a :class:`repro.obs.trace.DecisionTrace`) the
+        same walk also records its decision path: one ``node`` step per
+        level carrying the cut field, stride, extracted key, the HABS
+        word and its POP_COUNT result, and the slot the CPA arithmetic
+        selected — the data behind the paper's "one POP_COUNT instead of
+        ~100 RISC operations" claim, made assertable per lookup — then
+        the ``leaf``.
         """
+        if trace is not None:
+            trace.begin("expcuts", header)
         reads: list[MemRead] = []
         ptr = self.image.root_ptr
         level = 0
@@ -467,68 +479,33 @@ class ExpCutsEngine:
                 j = key & ((1 << u) - 1)
                 mask = (1 << (m + 1)) - 1
                 if self.use_pop_count:
-                    i = popcount(habs & mask) - 1
+                    pop = popcount(habs & mask)
                     cycles += POP_COUNT_CYCLES
                 else:
-                    i, risc = popcount_risc_model(habs & mask)
-                    i -= 1
+                    pop, risc = popcount_risc_model(habs & mask)
                     cycles += risc
-                slot = (i << u) + j
+                slot = ((pop - 1) << u) + j
             else:
                 slot = key
             cycles += ADDRESS_ARITH_CYCLES
             reads.append(MemRead(f"level:{level}", addr + 1 + slot, 1, cycles))
+            if trace is not None:
+                detail: dict = {"field": step.field, "stride": step.width,
+                                "key": key}
+                if self.image.aggregated:
+                    detail["habs"] = habs
+                    detail["popcount"] = pop
+                detail["slot"] = slot
+                trace.node(f"level:{level}", addr, words=2, **detail)
             ptr = int(seg[addr + 1 + slot])
             pending = KEY_EXTRACT_CYCLES
             level += 1
-        return LookupTrace(tuple(reads), compute_after=2, result=decode_leaf(ptr))
-
-    def classify_traced(self, header: Sequence[int], trace) -> int | None:
-        """The scalar walk, recording the decision path.
-
-        ``trace`` is a :class:`repro.obs.trace.DecisionTrace`.  Each
-        level records one ``node`` step carrying the cut field, stride,
-        extracted key, the HABS word and its POP_COUNT result, and the
-        slot the CPA arithmetic selected — the data behind the paper's
-        "one POP_COUNT instead of ~100 RISC operations" claim, made
-        assertable per lookup.
-        """
-        trace.begin("expcuts", header)
-        ptr = self.image.root_ptr
-        level = 0
-        bound = len(self.schedule)
-        while not ptr & int(LEAF_FLAG):
-            if level >= bound:
-                raise DepthBoundExceededError(
-                    f"lookup descended past the {bound}-level bound"
-                )
-            seg = self.image.levels[level]
-            addr = ptr
-            hw = int(seg[addr])
-            step = self.schedule[level]
-            key = (header[step.field] >> step.shift) & ((1 << step.width) - 1)
-            detail: dict = {"field": step.field, "stride": step.width, "key": key}
-            if self.image.aggregated:
-                habs = hw & 0xFFFF
-                u = (hw >> 20) & 0xF
-                m = key >> u
-                j = key & ((1 << u) - 1)
-                mask = (1 << (m + 1)) - 1
-                pop = popcount(habs & mask)
-                slot = ((pop - 1) << u) + j
-                detail["habs"] = habs
-                detail["popcount"] = pop
-            else:
-                slot = key
-            detail["slot"] = slot
-            # Two single-word reads per level: node header, then pointer.
-            trace.node(f"level:{level}", addr, words=2, **detail)
-            ptr = int(seg[addr + 1 + slot])
-            level += 1
         result = decode_leaf(ptr)
-        trace.leaf(f"level:{level - 1}" if level else "root", int(ptr) & 0x7FFF_FFFF,
-                   rule=result)
-        return trace.finish(result)
+        if trace is not None:
+            trace.leaf(f"level:{level - 1}" if level else "root",
+                       int(ptr) & 0x7FFF_FFFF, rule=result)
+            trace.finish(result)
+        return LookupTrace(tuple(reads), compute_after=2, result=result)
 
     # -- vectorized ------------------------------------------------------
 

@@ -17,9 +17,11 @@ Usage::
     assert trace.result == rule
     print(trace.pretty())
 
-Classifiers without a bespoke instrumented walk record a generic trace
-derived from their :meth:`access_trace`; the traced result is always
-identical to the untraced one (property-tested per algorithm).
+ExpCuts, HiCuts, HyperCuts and linear search record these steps from
+inside their ``access_trace(header, trace)``, the same walk npsim
+charges; the other classifiers record a generic trace derived from
+their :meth:`access_trace`.  The traced result is always identical to
+the untraced one (property-tested per algorithm).
 """
 
 from __future__ import annotations
@@ -92,10 +94,10 @@ class DecisionTrace:
                       lookup: "LookupTrace") -> int | None:
         """Generic fallback: derive the trace from an access trace.
 
-        Used by classifiers without a bespoke instrumented walk — every
-        memory reference becomes a ``read`` step, so aggregate views
-        (accesses, words touched) stay exact even when the semantic
-        labels (node/leaf/linear) are unavailable.
+        Used by classifiers whose access trace records no decision path
+        — every memory reference becomes a ``read`` step, so aggregate
+        views (accesses, words touched) stay exact even when the
+        semantic labels (node/leaf/linear) are unavailable.
         """
         self.begin(algorithm, header)
         for read in lookup.reads:

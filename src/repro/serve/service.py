@@ -53,7 +53,7 @@ from ..core.errors import (
     SnapshotError,
     TransientServiceError,
 )
-from ..core.rule import Rule
+from ..core.rule import Rule, RuleSet
 from ..obs.span import StageTimer
 from .admission import ServingFrame
 from .breaker import CircuitBreaker
@@ -269,8 +269,9 @@ class ClassificationService(ServingFrame):
                 audit["shadow_error"] = True
         if self.policy.oracle_check and isinstance(replica.classifier,
                                                    UpdatableClassifier):
-            audit["oracle"] = (replica.classifier.current_ruleset()
-                               .first_match(header))
+            # The live list itself: this lock hold keeps it still.
+            audit["oracle"] = RuleSet(replica.classifier.rules).first_match(
+                header)
         return audit
 
     def _check_audit(self, audit: dict, result: int | None) -> None:

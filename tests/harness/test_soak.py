@@ -6,7 +6,9 @@ and ``test_update_storm.py``; here every spec is checked for what
 digests pin the quick serve-soak (plain and ``syn-flood``) and
 adversarial-soak results, and the bytes of serve-soak's exported
 artifacts, as the five separate drivers produced them before they
-became specs of one driver.  The fabric soaks are pinned by their
+became specs of one driver.  A last digest pins the quick profile
+report of the four structures whose decision trace comes from their
+costed walk.  The fabric soaks are pinned by their
 two-runs-identical tests instead: their anti-entropy repairs wait on
 real-time pipe bounds, so a starved host can shift one.
 """
@@ -18,6 +20,7 @@ from dataclasses import replace
 import pytest
 
 from repro.harness import soak
+from repro.harness.profile import run_profile
 from repro.harness.soak import (
     ADVERSARIAL_SOAK,
     SERVE_SOAK,
@@ -43,6 +46,12 @@ ARTIFACT_DIGESTS = {
     "perf_report_FW01.prom":
         "1a011c39bdbe5d1340c1cd29200f697c5fd9074158315ad5826cec33d280a84e",
 }
+
+#: ``profile_CR01.json`` of the quick profile of expcuts, hicuts,
+#: hypercuts and linear, computed by running the commit before each of
+#: those structures' traced and costed walks were merged into one.
+PROFILE_DIGEST = (
+    "cf36604d80d645b498b1ba7682e0c2d5e9b129f82ae44cf95ef81aeca2640e7a")
 
 
 def _digest(payload) -> str:
@@ -116,3 +125,10 @@ class TestPinnedOutputs:
     def test_adversarial_soak(self):
         result = run_soak(ADVERSARIAL_SOAK, quick=True)
         assert _digest(result.data) == ADVERSARIAL_DIGEST
+
+    def test_profile(self, tmp_path):
+        run_profile(quick=True, out_dir=tmp_path,
+                    algorithms=("expcuts", "hicuts", "hypercuts", "linear"))
+        assert hashlib.sha256(
+            (tmp_path / "profile_CR01.json").read_bytes()
+        ).hexdigest() == PROFILE_DIGEST

@@ -8,9 +8,13 @@ from repro.classifiers import (
     ALGORITHMS,
     ExpCutsClassifier,
     HiCutsClassifier,
+    HyperCutsClassifier,
     LinearSearchClassifier,
 )
+from repro.classifiers.updates import UpdatableClassifier
 from repro.obs import DecisionTrace, disable_metrics, enable_metrics
+from repro.rulesets import churn_sequence, generate
+from repro.rulesets.profiles import PROFILES
 from repro.traffic import corner_case_trace, matched_trace
 
 from ..conftest import header_strategy, ruleset_strategy
@@ -50,6 +54,34 @@ class TestTracedEqualsUntraced:
             clf.classify(traffic.header(idx), trace=dtrace)
             assert dtrace.total_words >= dtrace.total_accesses >= 1
             assert dtrace.depth + dtrace.linear_search_length <= len(dtrace.steps)
+
+
+@pytest.mark.parametrize(
+    "algo", [ExpCutsClassifier, HiCutsClassifier, HyperCutsClassifier],
+    ids=lambda algo: algo.name)
+def test_traced_under_churn(algo):
+    """Traced == untraced == ``first_match`` after every op of a churn
+    stream absorbed by in-place edits, tombstones and compactions."""
+    ruleset = generate(PROFILES["FW01"], size=40, seed=51).with_default()
+    traffic = matched_trace(ruleset, 40, seed=52)
+    headers = [traffic.header(idx) for idx in range(len(traffic))]
+    clf = UpdatableClassifier(ruleset, algo, incremental=True)
+    for op in churn_sequence(ruleset, 60, seed=53):
+        if op[0] == "insert":
+            clf.insert(op[2], op[1])
+        else:
+            clf.remove(op[1])
+        probes = headers + [tuple(iv.lo for iv in rule.intervals)
+                            for rule in clf.rules[:40]]
+        oracle = clf.current_ruleset()
+        # Every untraced answer first: a traced ExpCuts lookup repacks an
+        # edited tree, which would move the rest off the edited walk.
+        untraced = [clf.classify(header) for header in probes]
+        for header, want in zip(probes, untraced):
+            dtrace = DecisionTrace()
+            assert clf.classify(header, trace=dtrace) == want
+            assert dtrace.result == want == oracle.first_match(header)
+    assert clf.stats.incremental_inserts and clf.stats.slow_path_lookups
 
 
 class TestExpCutsDepthBound:
